@@ -17,14 +17,13 @@
 // the same work produce byte-identical records, which is what lets
 // `graphio audit` re-run a recorded trail and diff the results exactly.
 //
-// This header depends only on core + io + support (NOT on engine): the
-// engine's BoundReport embeds a ProvenanceRecord, so the dependency must
-// point this way.
+// This header depends only on core + io + support + the engine-free
+// store::AppendLog (NOT on engine): the engine's BoundReport embeds a
+// ProvenanceRecord, so the dependency must point this way.
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -32,6 +31,7 @@
 
 #include "graphio/core/spectral_pipeline.hpp"
 #include "graphio/io/json.hpp"
+#include "graphio/store/append_log.hpp"
 #include "graphio/support/table.hpp"
 
 namespace graphio::audit {
@@ -161,8 +161,10 @@ struct ProvenanceRecord {
     const ProvenanceRecord& record);
 
 /// Append-only provenance JSONL next to a ResultStore: one record per
-/// line in `<dir>/provenance.jsonl`. Thread-safe; lines are flushed as
-/// written so a crashed run leaves a replayable prefix.
+/// line in `<dir>/provenance.jsonl`, written through the same
+/// store::AppendLog as the result and artifact stores (never replayed —
+/// `graphio audit` reads trails with load_provenance). Thread-safe; lines
+/// are flushed as written so a crashed run leaves a replayable prefix.
 class ProvenanceLog {
  public:
   explicit ProvenanceLog(const std::filesystem::path& dir);
@@ -178,18 +180,15 @@ class ProvenanceLog {
   void sync();
 
   [[nodiscard]] const std::filesystem::path& path() const noexcept {
-    return path_;
+    return log_.path();
   }
-  [[nodiscard]] std::int64_t appended() const noexcept { return appended_; }
+  [[nodiscard]] std::int64_t appended() const noexcept {
+    return log_.stats().appended;
+  }
 
  private:
-  void demote_locked(const std::string& why);
-
   std::mutex mutex_;
-  std::filesystem::path path_;
-  std::ofstream out_;
-  std::int64_t appended_ = 0;
-  bool demoted_ = false;
+  store::AppendLog log_;
 };
 
 }  // namespace graphio::audit

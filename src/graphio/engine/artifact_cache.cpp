@@ -19,47 +19,22 @@ namespace graphio::engine {
 
 namespace {
 
-// Process-wide lifetime counters mirroring Stats. Resolved once (registry
-// lookup takes a mutex), then every dual-write is a single relaxed atomic
-// add. The registry totals are monotone — they survive cache destruction
-// and graph reinstalls, which the per-instance Stats do not.
-struct CacheMetrics {
-  telemetry::Counter& hits;
-  telemetry::Counter& misses;
-  telemetry::Counter& eigensolves;
-  telemetry::Counter& mincut_sweeps;
-  telemetry::Counter& topo_computes;
-  telemetry::Counter& memsim_runs;
-  telemetry::Counter& partition_runs;
-  telemetry::Counter& component_hits;
-  telemetry::Counter& subgraph_extractions;
-  telemetry::Counter& fingerprint_computes;
-  telemetry::Gauge& fingerprint_seconds;
-  telemetry::Gauge& extract_seconds;
-  telemetry::Gauge& solve_seconds;
-  telemetry::Gauge& merge_seconds;
-};
-
-CacheMetrics& cache_metrics() {
-  auto& reg = telemetry::MetricsRegistry::global();
-  static CacheMetrics metrics{reg.counter("cache.hits"),
-                              reg.counter("cache.misses"),
-                              reg.counter("cache.eigensolves"),
-                              reg.counter("cache.mincut_sweeps"),
-                              reg.counter("cache.topo_computes"),
-                              reg.counter("cache.memsim_runs"),
-                              reg.counter("cache.partition_runs"),
-                              reg.counter("cache.component_hits"),
-                              reg.counter("cache.subgraph_extractions"),
-                              reg.counter("cache.fingerprint_computes"),
-                              reg.gauge("cache.fingerprint_seconds"),
-                              reg.gauge("cache.extract_seconds"),
-                              reg.gauge("cache.solve_seconds"),
-                              reg.gauge("cache.merge_seconds")};
-  return metrics;
+// Registry totals of every ArtifactCache's Stats (monotone: they survive
+// cache destruction and graph reinstalls, which the per-instance Stats do
+// not). Resolved together on first use; every bump is then one relaxed
+// atomic add.
+const telemetry::StatCounters<ArtifactCache::Stats>& cache_counters() {
+  static const telemetry::StatCounters<ArtifactCache::Stats> counters(
+      "cache");
+  return counters;
 }
 
 }  // namespace
+
+template <auto Member, class N>
+void ArtifactCache::bump(N n) {
+  cache_counters().bump<Member>(stats_, n);
+}
 
 ArtifactCache::ArtifactCache(Digraph graph,
                              std::shared_ptr<store::ArtifactStore> store,
@@ -200,15 +175,13 @@ std::uint64_t ArtifactCache::component_fingerprint(int c) {
   // later artifact kind (and the spectral plan) pays zero.
   d.fingerprints[i] = subgraph_fingerprint(graph(), d.wc, c);
   d.known[i] = true;
-  ++stats_.fingerprint_computes;
-  cache_metrics().fingerprint_computes.increment();
+  bump<&Stats::fingerprint_computes>();
   return d.fingerprints[i];
 }
 
 Digraph ArtifactCache::component_subgraph(int c) {
   Decomposition& d = decomposition();
-  ++stats_.subgraph_extractions;
-  cache_metrics().subgraph_extractions.increment();
+  bump<&Stats::subgraph_extractions>();
   if (lazy_.has_value())
     return lazy_->component(d.source_index[static_cast<std::size_t>(c)]);
   return d.wc.subgraph(graph_, c);
@@ -280,26 +253,82 @@ ComponentPlan ArtifactCache::build_plan(const SpectralOptions& options) {
   return plan;
 }
 
+template <class Map>
+typename Map::mapped_type* ArtifactCache::memoized(
+    Map& map, const typename Map::key_type& key) {
+  const auto it = map.find(key);
+  if (it == map.end()) {
+    bump<&Stats::misses>();
+    return nullptr;
+  }
+  bump<&Stats::hits>();
+  return &it->second;
+}
+
+template <auto Counter, class Lookup, class Compute, class Save>
+auto ArtifactCache::resolve_component(int c, Lookup lookup, Compute compute,
+                                      Save save, const Digraph* sub) {
+  const std::uint64_t fp = component_fingerprint(c);
+  if (auto cached = lookup(fp)) return *std::move(cached);
+  Digraph extracted;
+  if (sub == nullptr) {
+    if (decomposition().wc.count == 1 && materialized_) {
+      sub = &graph_;  // the only component reproduces the graph verbatim
+    } else {
+      extracted = component_subgraph(c);
+      sub = &extracted;
+    }
+  }
+  bump<Counter>();
+  auto value = compute(*sub);
+  save(fp, value);
+  return value;
+}
+
+std::vector<VertexId> ArtifactCache::component_topo(int c,
+                                                    const Digraph* sub) {
+  const Decomposition& d = decomposition();
+  const auto i = static_cast<std::size_t>(c);
+  const auto n = static_cast<std::int64_t>(d.wc.vertices[i].size());
+  return resolve_component<&Stats::topo_computes>(
+      c,
+      [&](std::uint64_t fp) -> std::optional<std::vector<VertexId>> {
+        auto cached = store_->lookup_topo(fp);
+        if (!cached.has_value() ||
+            static_cast<std::int64_t>(cached->order.size()) != n)
+          return std::nullopt;
+        return std::move(cached->order);
+      },
+      [&](const Digraph& g) {
+        telemetry::Span span("topo");
+        span.attr("vertices", n).attr("edges", d.edges[i]);
+        auto order = topological_order(g);
+        span.end();
+        GIO_EXPECTS_MSG(order.has_value(), "graph is cyclic");
+        return *std::move(order);
+      },
+      [&](std::uint64_t fp, const std::vector<VertexId>& order) {
+        store_->store_topo(fp, {order});
+      },
+      sub);
+}
+
 std::uint64_t ArtifactCache::fingerprint() {
   if (fingerprint_.has_value()) {
-    ++stats_.hits;
-    cache_metrics().hits.increment();
+    bump<&Stats::hits>();
     return *fingerprint_;
   }
-  ++stats_.misses;
-  cache_metrics().misses.increment();
+  bump<&Stats::misses>();
   fingerprint_ = graph_fingerprint(graph());
   return *fingerprint_;
 }
 
 const std::vector<VertexId>& ArtifactCache::topo_order() {
   if (topo_.has_value()) {
-    ++stats_.hits;
-    cache_metrics().hits.increment();
+    bump<&Stats::hits>();
     return *topo_;
   }
-  ++stats_.misses;
-  cache_metrics().misses.increment();
+  bump<&Stats::misses>();
   Decomposition& d = decomposition();
   const int count = d.wc.count;
   // Per-component orders in local ids: store hit, trivial, or Kahn run.
@@ -307,38 +336,14 @@ const std::vector<VertexId>& ArtifactCache::topo_order() {
       static_cast<std::size_t>(count));
   for (int c = 0; c < count; ++c) {
     const auto i = static_cast<std::size_t>(c);
-    const auto n = static_cast<std::int64_t>(d.wc.vertices[i].size());
     if (d.edges[i] == 0) {
       // Edgeless: min-first Kahn is the ascending local numbering —
       // cheaper to regenerate than to fingerprint and store.
-      orders[i].resize(static_cast<std::size_t>(n));
+      orders[i].resize(d.wc.vertices[i].size());
       std::iota(orders[i].begin(), orders[i].end(), VertexId{0});
       continue;
     }
-    const std::uint64_t fp = component_fingerprint(c);
-    if (auto cached = store_->lookup_topo(fp);
-        cached.has_value() &&
-        static_cast<std::int64_t>(cached->order.size()) == n) {
-      orders[i] = std::move(cached->order);
-      continue;
-    }
-    Digraph extracted;
-    const Digraph* sub;
-    if (count == 1 && materialized_) {
-      sub = &graph_;
-    } else {
-      extracted = component_subgraph(c);
-      sub = &extracted;
-    }
-    telemetry::Span topo_span("topo");
-    topo_span.attr("vertices", n).attr("edges", d.edges[i]);
-    auto order = topological_order(*sub);
-    topo_span.end();
-    GIO_EXPECTS_MSG(order.has_value(), "graph is cyclic");
-    ++stats_.topo_computes;
-    cache_metrics().topo_computes.increment();
-    store_->store_topo(fp, {*order});
-    orders[i] = std::move(*order);
+    orders[i] = component_topo(c);
   }
   // Merge by smallest next global id. Each component's min-first Kahn
   // order is the restriction of the whole-graph order (readiness never
@@ -372,14 +377,7 @@ const std::vector<VertexId>& ArtifactCache::topo_order() {
 }
 
 const la::CsrMatrix& ArtifactCache::laplacian(LaplacianKind kind) {
-  const auto it = laplacians_.find(kind);
-  if (it != laplacians_.end()) {
-    ++stats_.hits;
-    cache_metrics().hits.increment();
-    return it->second;
-  }
-  ++stats_.misses;
-  cache_metrics().misses.increment();
+  if (const auto* hit = memoized(laplacians_, kind)) return *hit;
   return laplacians_.emplace(kind, graphio::laplacian(graph(), kind))
       .first->second;
 }
@@ -394,13 +392,11 @@ const ArtifactCache::SpectrumArtifact& ArtifactCache::spectrum(
   // only repeat the most expensive case for the same partial answer.
   if (it != spectra_.end() && it->second.requested >= count &&
       solver_options_equal(spectra_options_.at(kind), options)) {
-    ++stats_.hits;
-    cache_metrics().hits.increment();
+    bump<&Stats::hits>();
     it->second.touched_serial = ++spectrum_touches_;
     return it->second;
   }
-  ++stats_.misses;
-  cache_metrics().misses.increment();
+  bump<&Stats::misses>();
   WallTimer timer;
 
   // Lookup-then-extract: the plan describes every component without its
@@ -459,25 +455,16 @@ const ArtifactCache::SpectrumArtifact& ArtifactCache::spectrum(
     artifact.component_fingerprints = decomp_->fingerprints;
   artifact.seconds = timer.seconds();
   artifact.computed_serial = artifact.touched_serial = ++spectrum_touches_;
-  stats_.eigensolves += result.eigensolves;
-  stats_.component_hits += result.component_cache_hits;
-  stats_.subgraph_extractions += result.subgraph_extractions;
-  stats_.fingerprint_computes += result.fingerprint_computes;
-  stats_.warm_hits += result.warm_hits;
-  stats_.warm_iterations_saved += result.warm_iterations_saved;
-  stats_.fingerprint_seconds += result.phases.fingerprint_seconds;
-  stats_.extract_seconds += result.phases.extract_seconds;
-  stats_.solve_seconds += result.phases.solve_seconds;
-  stats_.merge_seconds += result.phases.merge_seconds;
-  CacheMetrics& metrics = cache_metrics();
-  metrics.eigensolves.add(result.eigensolves);
-  metrics.component_hits.add(result.component_cache_hits);
-  metrics.subgraph_extractions.add(result.subgraph_extractions);
-  metrics.fingerprint_computes.add(result.fingerprint_computes);
-  metrics.fingerprint_seconds.add(result.phases.fingerprint_seconds);
-  metrics.extract_seconds.add(result.phases.extract_seconds);
-  metrics.solve_seconds.add(result.phases.solve_seconds);
-  metrics.merge_seconds.add(result.phases.merge_seconds);
+  bump<&Stats::eigensolves>(result.eigensolves);
+  bump<&Stats::component_hits>(result.component_cache_hits);
+  bump<&Stats::subgraph_extractions>(result.subgraph_extractions);
+  bump<&Stats::fingerprint_computes>(result.fingerprint_computes);
+  bump<&Stats::warm_hits>(result.warm_hits);
+  bump<&Stats::warm_iterations_saved>(result.warm_iterations_saved);
+  bump<&Stats::fingerprint_seconds>(result.phases.fingerprint_seconds);
+  bump<&Stats::extract_seconds>(result.phases.extract_seconds);
+  bump<&Stats::solve_seconds>(result.phases.solve_seconds);
+  bump<&Stats::merge_seconds>(result.phases.merge_seconds);
   eigensolves_by_kind_[kind] += result.eigensolves;
   spectra_options_.insert_or_assign(kind, options);
   return spectra_.insert_or_assign(kind, std::move(artifact)).first->second;
@@ -493,14 +480,7 @@ std::int64_t ArtifactCache::cached_spectrum_values(
 
 const ArtifactCache::WavefrontArtifact& ArtifactCache::max_wavefront_cut(
     const flow::ConvexMinCutOptions& options) {
-  const auto it = max_cuts_.find(options.engine);
-  if (it != max_cuts_.end()) {
-    ++stats_.hits;
-    cache_metrics().hits.increment();
-    return it->second;
-  }
-  ++stats_.misses;
-  cache_metrics().misses.increment();
+  if (const auto* hit = memoized(max_cuts_, options.engine)) return *hit;
   Decomposition& d = decomposition();
   const int count = d.wc.count;
   WavefrontArtifact artifact;
@@ -509,49 +489,34 @@ const ArtifactCache::WavefrontArtifact& ArtifactCache::max_wavefront_cut(
   for (int c = 0; c < count; ++c) {
     const auto i = static_cast<std::size_t>(c);
     if (d.edges[i] == 0) continue;  // no descendants anywhere: C(v) = 0
-    const std::uint64_t fp = component_fingerprint(c);
-    if (auto cached = store_->lookup_mincut(fp, options.engine)) {
-      artifact.cuts[i] = cached->best_cut;
-      if (cached->best_cut > artifact.best_cut) {
-        artifact.best_cut = cached->best_cut;
-        artifact.best_vertex =
-            cached->best_vertex >= 0
-                ? d.wc.vertices[i][static_cast<std::size_t>(
-                      cached->best_vertex)]
-                : VertexId{-1};
-      }
-      continue;
-    }
-    Digraph extracted;
-    const Digraph* sub;
-    if (count == 1 && materialized_) {
-      sub = &graph_;
-    } else {
-      extracted = component_subgraph(c);
-      sub = &extracted;
-    }
-    ++stats_.mincut_sweeps;
-    cache_metrics().mincut_sweeps.increment();
-    // Memory 0 keeps every cut relevant; per-M bounds derive from the
-    // per-component best cuts.
-    telemetry::Span mincut_span("mincut");
-    mincut_span.attr("vertices", sub->num_vertices())
-        .attr("edges", sub->num_edges());
-    const flow::ConvexMinCutResult result =
-        flow::convex_mincut_bound(*sub, 0.0, options);
-    mincut_span.end();
-    artifact.cuts[i] = result.best_cut;
-    artifact.completed = artifact.completed && result.completed;
-    if (result.completed)
-      store_->store_mincut(fp, options.engine,
-                           {result.best_cut, result.best_vertex,
-                            result.vertices_processed, result.completed});
-    if (result.best_cut > artifact.best_cut) {
-      artifact.best_cut = result.best_cut;
+    const store::MincutSweepArtifact sweep =
+        resolve_component<&Stats::mincut_sweeps>(
+            c,
+            [&](std::uint64_t fp) {
+              return store_->lookup_mincut(fp, options.engine);
+            },
+            [&](const Digraph& g) {
+              // Memory 0 keeps every cut relevant; per-M bounds derive
+              // from the per-component best cuts.
+              telemetry::Span span("mincut");
+              span.attr("vertices", g.num_vertices())
+                  .attr("edges", g.num_edges());
+              const flow::ConvexMinCutResult r =
+                  flow::convex_mincut_bound(g, 0.0, options);
+              return store::MincutSweepArtifact{r.best_cut, r.best_vertex,
+                                                r.vertices_processed,
+                                                r.completed};
+            },
+            [&](std::uint64_t fp, const store::MincutSweepArtifact& r) {
+              if (r.completed) store_->store_mincut(fp, options.engine, r);
+            });
+    artifact.cuts[i] = sweep.best_cut;
+    artifact.completed = artifact.completed && sweep.completed;
+    if (sweep.best_cut > artifact.best_cut) {
+      artifact.best_cut = sweep.best_cut;
       artifact.best_vertex =
-          result.best_vertex >= 0
-              ? d.wc.vertices[i][static_cast<std::size_t>(
-                    result.best_vertex)]
+          sweep.best_vertex >= 0
+              ? d.wc.vertices[i][static_cast<std::size_t>(sweep.best_vertex)]
               : VertexId{-1};
     }
   }
@@ -562,14 +527,7 @@ const ArtifactCache::WavefrontArtifact& ArtifactCache::max_wavefront_cut(
 const ArtifactCache::MemsimArtifact& ArtifactCache::memsim_row(
     std::int64_t memory, int random_orders) {
   const auto key = std::make_pair(memory, random_orders);
-  const auto it = memsims_.find(key);
-  if (it != memsims_.end()) {
-    ++stats_.hits;
-    cache_metrics().hits.increment();
-    return it->second;
-  }
-  ++stats_.misses;
-  cache_metrics().misses.increment();
+  if (const auto* hit = memoized(memsims_, key)) return *hit;
   Decomposition& d = decomposition();
   const int count = d.wc.count;
   MemsimArtifact artifact;
@@ -579,47 +537,32 @@ const ArtifactCache::MemsimArtifact& ArtifactCache::memsim_row(
     // Isolated vertices are sources and sinks at once: all their I/O is
     // trivial and excluded from reads/writes by the simulator.
     if (d.edges[i] == 0) continue;
-    const std::uint64_t fp = component_fingerprint(c);
-    if (auto cached = store_->lookup_memsim(fp, memory, random_orders)) {
-      artifact.reads += cached->reads;
-      artifact.writes += cached->writes;
-      continue;
-    }
-    Digraph extracted;
-    const Digraph* sub;
-    if (count == 1 && materialized_) {
-      sub = &graph_;
-    } else {
-      extracted = component_subgraph(c);
-      sub = &extracted;
-    }
-    ++stats_.memsim_runs;
-    cache_metrics().memsim_runs.increment();
-    telemetry::Span memsim_span("memsim");
-    memsim_span.attr("vertices", sub->num_vertices())
-        .attr("memory", memory)
-        .attr("random_orders", random_orders);
-    const sim::SimResult result =
-        sim::best_schedule_io(*sub, memory, random_orders);
-    memsim_span.end();
-    store_->store_memsim(fp, memory, random_orders,
-                         {result.reads, result.writes});
-    artifact.reads += result.reads;
-    artifact.writes += result.writes;
+    const store::MemsimRowArtifact row = resolve_component<&Stats::memsim_runs>(
+        c,
+        [&](std::uint64_t fp) {
+          return store_->lookup_memsim(fp, memory, random_orders);
+        },
+        [&](const Digraph& g) {
+          telemetry::Span span("memsim");
+          span.attr("vertices", g.num_vertices())
+              .attr("memory", memory)
+              .attr("random_orders", random_orders);
+          const sim::SimResult r =
+              sim::best_schedule_io(g, memory, random_orders);
+          return store::MemsimRowArtifact{r.reads, r.writes};
+        },
+        [&](std::uint64_t fp, const store::MemsimRowArtifact& r) {
+          store_->store_memsim(fp, memory, random_orders, r);
+        });
+    artifact.reads += row.reads;
+    artifact.writes += row.writes;
   }
   return memsims_.emplace(key, std::move(artifact)).first->second;
 }
 
 const ArtifactCache::PartitionArtifact& ArtifactCache::partition_row(
     double memory) {
-  const auto it = partitions_.find(memory);
-  if (it != partitions_.end()) {
-    ++stats_.hits;
-    cache_metrics().hits.increment();
-    return it->second;
-  }
-  ++stats_.misses;
-  cache_metrics().misses.increment();
+  if (const auto* hit = memoized(partitions_, memory)) return *hit;
   Decomposition& d = decomposition();
   const int count = d.wc.count;
   PartitionArtifact artifact;
@@ -633,51 +576,30 @@ const ArtifactCache::PartitionArtifact& ArtifactCache::partition_row(
     // exactly cancelled by the seam refund of counting it — skip both.
     if (d.edges[i] == 0) continue;
     ++nontrivial;
-    const std::uint64_t fp = component_fingerprint(c);
-    if (auto cached = store_->lookup_partition(fp, memory)) {
-      total += cached->objective;
-      segments += cached->segments;
-      continue;
-    }
-    Digraph extracted;
-    const Digraph* sub;
-    if (count == 1 && materialized_) {
-      sub = &graph_;
-    } else {
-      extracted = component_subgraph(c);
-      sub = &extracted;
-    }
-    const auto n = static_cast<std::int64_t>(d.wc.vertices[i].size());
-    // The DP walks the component's own natural order — the restriction
-    // of the merged whole-graph Kahn order, already store-cached by the
-    // topo artifact.
-    std::vector<VertexId> order;
-    if (auto cached = store_->lookup_topo(fp);
-        cached.has_value() &&
-        static_cast<std::int64_t>(cached->order.size()) == n) {
-      order = std::move(cached->order);
-    } else {
-      telemetry::Span topo_span("topo");
-      topo_span.attr("vertices", n).attr("edges", d.edges[i]);
-      auto computed = topological_order(*sub);
-      topo_span.end();
-      GIO_EXPECTS_MSG(computed.has_value(), "graph is cyclic");
-      ++stats_.topo_computes;
-      cache_metrics().topo_computes.increment();
-      store_->store_topo(fp, {*computed});
-      order = std::move(*computed);
-    }
-    ++stats_.partition_runs;
-    cache_metrics().partition_runs.increment();
-    telemetry::Span dp_span("partition_dp");
-    dp_span.attr("vertices", n).attr("edges", d.edges[i]);
-    const OptimalPartitionResult r =
-        optimal_lemma1_bound(*sub, order, memory);
-    dp_span.end();
-    store_->store_partition(fp, memory,
-                            {r.objective, r.objective_segments});
-    total += r.objective;
-    segments += r.objective_segments;
+    const store::PartitionRowArtifact row =
+        resolve_component<&Stats::partition_runs>(
+            c,
+            [&](std::uint64_t fp) {
+              return store_->lookup_partition(fp, memory);
+            },
+            [&](const Digraph& g) {
+              // The DP walks the component's own natural order — the
+              // restriction of the merged whole-graph Kahn order, already
+              // store-cached by the topo artifact.
+              const std::vector<VertexId> order = component_topo(c, &g);
+              telemetry::Span span("partition_dp");
+              span.attr("vertices", g.num_vertices())
+                  .attr("edges", d.edges[i]);
+              const OptimalPartitionResult r =
+                  optimal_lemma1_bound(g, order, memory);
+              return store::PartitionRowArtifact{r.objective,
+                                                 r.objective_segments};
+            },
+            [&](std::uint64_t fp, const store::PartitionRowArtifact& r) {
+              store_->store_partition(fp, memory, r);
+            });
+    total += row.objective;
+    segments += row.segments;
   }
   if (nontrivial > 0) {
     const double objective =

@@ -20,6 +20,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -30,6 +31,7 @@
 #include "graphio/graph/laplacian.hpp"
 #include "graphio/la/csr_matrix.hpp"
 #include "graphio/store/artifact_store.hpp"
+#include "graphio/telemetry/stat_counters.hpp"
 
 namespace graphio::engine {
 
@@ -285,45 +287,39 @@ class ArtifactCache {
     double solve_seconds = 0.0;
     double merge_seconds = 0.0;
 
-    /// Aggregation across caches/workers and before/after deltas — the
-    /// only two operations consumers perform; keeping them here means a
-    /// new counter cannot be silently dropped at one of the call sites.
+    /// Every field once, with its name: registry totals under `cache` (a
+    /// gauge for seconds; `false` = per-instance only). Aggregation across
+    /// caches/workers, before/after deltas and the JSON reports iterate
+    /// this list, so a new counter cannot be dropped at one of them.
+    static constexpr auto fields() {
+      using telemetry::StatField;
+      return std::tuple{
+          StatField{&Stats::hits, "hits"},
+          StatField{&Stats::misses, "misses"},
+          StatField{&Stats::eigensolves, "eigensolves"},
+          StatField{&Stats::mincut_sweeps, "mincut_sweeps"},
+          StatField{&Stats::topo_computes, "topo_computes"},
+          StatField{&Stats::memsim_runs, "memsim_runs"},
+          StatField{&Stats::partition_runs, "partition_runs"},
+          StatField{&Stats::component_hits, "component_hits"},
+          StatField{&Stats::subgraph_extractions, "subgraph_extractions"},
+          StatField{&Stats::fingerprint_computes, "fingerprint_computes"},
+          StatField{&Stats::warm_hits, "warm_hits", false},
+          StatField{&Stats::warm_iterations_saved, "warm_iterations_saved",
+                    false},
+          StatField{&Stats::fingerprint_seconds, "fingerprint_seconds"},
+          StatField{&Stats::extract_seconds, "extract_seconds"},
+          StatField{&Stats::solve_seconds, "solve_seconds"},
+          StatField{&Stats::merge_seconds, "merge_seconds"}};
+    }
     Stats& operator+=(const Stats& other) noexcept {
-      hits += other.hits;
-      misses += other.misses;
-      eigensolves += other.eigensolves;
-      mincut_sweeps += other.mincut_sweeps;
-      topo_computes += other.topo_computes;
-      memsim_runs += other.memsim_runs;
-      partition_runs += other.partition_runs;
-      component_hits += other.component_hits;
-      subgraph_extractions += other.subgraph_extractions;
-      fingerprint_computes += other.fingerprint_computes;
-      warm_hits += other.warm_hits;
-      warm_iterations_saved += other.warm_iterations_saved;
-      fingerprint_seconds += other.fingerprint_seconds;
-      extract_seconds += other.extract_seconds;
-      solve_seconds += other.solve_seconds;
-      merge_seconds += other.merge_seconds;
+      telemetry::add_fields(*this, other);
       return *this;
     }
     [[nodiscard]] Stats operator-(const Stats& other) const noexcept {
-      return {hits - other.hits,
-              misses - other.misses,
-              eigensolves - other.eigensolves,
-              mincut_sweeps - other.mincut_sweeps,
-              topo_computes - other.topo_computes,
-              memsim_runs - other.memsim_runs,
-              partition_runs - other.partition_runs,
-              component_hits - other.component_hits,
-              subgraph_extractions - other.subgraph_extractions,
-              fingerprint_computes - other.fingerprint_computes,
-              warm_hits - other.warm_hits,
-              warm_iterations_saved - other.warm_iterations_saved,
-              fingerprint_seconds - other.fingerprint_seconds,
-              extract_seconds - other.extract_seconds,
-              solve_seconds - other.solve_seconds,
-              merge_seconds - other.merge_seconds};
+      Stats out = *this;
+      telemetry::subtract_fields(out, other);
+      return out;
     }
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
@@ -398,6 +394,26 @@ class ArtifactCache {
   /// Extracts component c's subgraph (counted). For single-component
   /// materialized graphs callers should use graph() in place instead.
   Digraph component_subgraph(int c);
+  /// Adds `n` to one Stats field and to its registry total.
+  template <auto Member, class N = std::int64_t>
+  void bump(N n = 1);
+  /// The memoized whole-graph artifact under `key`, or null — counted as
+  /// a cache hit or miss.
+  template <class Map>
+  typename Map::mapped_type* memoized(Map& map,
+                                      const typename Map::key_type& key);
+  /// The per-component artifact loop body, written once: component c's
+  /// artifact is the store's answer for its content fingerprint
+  /// (`lookup`), or — on a miss — `compute` (which opens its own named
+  /// span) run on its subgraph, counted under `Counter` and handed to
+  /// `save`. The subgraph is `sub` when the caller already holds it, the
+  /// graph itself when it is the only component, and an extraction
+  /// otherwise.
+  template <auto Counter, class Lookup, class Compute, class Save>
+  auto resolve_component(int c, Lookup lookup, Compute compute, Save save,
+                         const Digraph* sub = nullptr);
+  /// Component c's min-first Kahn order in its local ids.
+  std::vector<VertexId> component_topo(int c, const Digraph* sub = nullptr);
 
   Digraph graph_;
   bool materialized_ = true;

@@ -13,10 +13,6 @@ namespace graphio::engine {
 
 namespace {
 
-const char* laplacian_provenance_name(LaplacianKind kind) {
-  return kind == LaplacianKind::kPlain ? "plain" : "norm";
-}
-
 /// Fills report.provenance from the evaluation's bracketed state: the
 /// pipeline runs performed (computed spectra, reconciled against the
 /// registry deltas), the artifacts served without re-running, and the
@@ -34,7 +30,7 @@ void assemble_provenance(BoundReport& report, ArtifactCache& cache,
   for (std::size_t i = runs_before; i < runs.size(); ++i) {
     const ArtifactCache::SpectrumRun& run = runs[i];
     audit::SpectrumProvenance sp;
-    sp.laplacian = laplacian_provenance_name(run.kind);
+    sp.laplacian = std::string(to_string(run.kind));
     sp.requested = run.requested;
     sp.computed = true;
     sp.merged_values = run.merged_values;
@@ -47,7 +43,7 @@ void assemble_provenance(BoundReport& report, ArtifactCache& cache,
     if (artifact.touched_serial <= serial_before) continue;  // unused here
     if (artifact.computed_serial > serial_before) continue;  // in runs above
     audit::SpectrumProvenance sp;
-    sp.laplacian = laplacian_provenance_name(kind);
+    sp.laplacian = std::string(to_string(kind));
     sp.requested = artifact.requested;
     sp.computed = false;
     sp.merged_values = static_cast<std::int64_t>(artifact.values.size());

@@ -1,5 +1,9 @@
 #include "graphio/engine/fingerprint.hpp"
 
+#include <charconv>
+
+#include "graphio/support/contracts.hpp"
+
 namespace graphio::engine {
 
 std::uint64_t graph_fingerprint(const Digraph& g) noexcept {
@@ -43,6 +47,16 @@ std::string fingerprint_hex(std::uint64_t fingerprint) {
     fingerprint >>= 4;
   }
   return out;
+}
+
+std::uint64_t parse_fingerprint(const std::string& hex) {
+  std::uint64_t fp = 0;
+  const auto [p, ec] =
+      std::from_chars(hex.data(), hex.data() + hex.size(), fp, 16);
+  GIO_EXPECTS_MSG(hex.size() == 16 && ec == std::errc() &&
+                      p == hex.data() + hex.size(),
+                  "malformed fingerprint '" + hex + "'");
+  return fp;
 }
 
 }  // namespace graphio::engine

@@ -53,4 +53,8 @@ namespace graphio::engine {
 /// used in result-store keys and JSONL records.
 [[nodiscard]] std::string fingerprint_hex(std::uint64_t fingerprint);
 
+/// The inverse of fingerprint_hex; throws contract_error on anything but
+/// 16 hex digits.
+[[nodiscard]] std::uint64_t parse_fingerprint(const std::string& hex);
+
 }  // namespace graphio::engine

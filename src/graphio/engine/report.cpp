@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "graphio/telemetry/stat_counters.hpp"
+
 namespace graphio::engine {
 
 namespace {
@@ -72,18 +74,7 @@ void BoundReport::append_json(io::JsonWriter& w, bool include_timing,
   w.end_array();
   if (include_timing) {
     w.key("cache").begin_object();
-    w.key("hits").value(cache.hits);
-    w.key("misses").value(cache.misses);
-    w.key("eigensolves").value(cache.eigensolves);
-    w.key("mincut_sweeps").value(cache.mincut_sweeps);
-    w.key("topo_computes").value(cache.topo_computes);
-    w.key("memsim_runs").value(cache.memsim_runs);
-    w.key("partition_runs").value(cache.partition_runs);
-    w.key("component_hits").value(cache.component_hits);
-    w.key("subgraph_extractions").value(cache.subgraph_extractions);
-    w.key("fingerprint_computes").value(cache.fingerprint_computes);
-    w.key("warm_hits").value(cache.warm_hits);
-    w.key("warm_iterations_saved").value(cache.warm_iterations_saved);
+    telemetry::write_counts(w, cache);
     w.key("phase_seconds").begin_object();
     w.key("fingerprint").value(cache.fingerprint_seconds);
     w.key("extract").value(cache.extract_seconds);

@@ -40,7 +40,8 @@ struct ConvexMinCutOptions {
   /// Wall-clock cutoff; when exceeded the sweep stops early and the result
   /// is marked incomplete (the partial maximum is still a valid bound).
   double time_budget_seconds = std::numeric_limits<double>::infinity();
-  /// Sweep vertices in parallel (OpenMP).
+  /// Sweep vertices in parallel (support/parallel.hpp: OpenMP when built
+  /// with it, the std::thread fallback otherwise).
   bool parallel = true;
   FlowEngine engine = FlowEngine::kDinic;
 };

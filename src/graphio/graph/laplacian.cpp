@@ -1,8 +1,21 @@
 #include "graphio/graph/laplacian.hpp"
 
+#include <string>
+
 #include "graphio/support/contracts.hpp"
 
 namespace graphio {
+
+std::string_view to_string(LaplacianKind kind) {
+  return kind == LaplacianKind::kPlain ? "plain" : "norm";
+}
+
+LaplacianKind laplacian_kind_from(std::string_view name) {
+  if (name == "plain") return LaplacianKind::kPlain;
+  GIO_EXPECTS_MSG(name == "norm",
+                  "unknown laplacian kind '" + std::string(name) + "'");
+  return LaplacianKind::kOutDegreeNormalized;
+}
 
 namespace {
 

@@ -8,6 +8,8 @@
 // weight in both variants.
 #pragma once
 
+#include <string_view>
+
 #include "graphio/graph/digraph.hpp"
 #include "graphio/la/csr_matrix.hpp"
 #include "graphio/la/dense_matrix.hpp"
@@ -20,6 +22,11 @@ enum class LaplacianKind {
   /// L̃ of G̃ with edge weights 1/dout(u) (Section 4.2).
   kOutDegreeNormalized,
 };
+
+/// "plain" or "norm" — the kind's name in store logs and provenance.
+std::string_view to_string(LaplacianKind kind);
+/// The inverse of to_string; throws contract_error on any other name.
+LaplacianKind laplacian_kind_from(std::string_view name);
 
 /// Sparse Laplacian of the requested kind. Always symmetric PSD with row
 /// sums zero; vertices with no incident edges yield empty rows.

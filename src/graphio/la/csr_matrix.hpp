@@ -32,7 +32,8 @@ class CsrMatrix {
     return static_cast<std::int64_t>(values_.size());
   }
 
-  /// y = A x (parallel over rows when OpenMP is enabled).
+  /// y = A x, parallel over rows (support/parallel.hpp: OpenMP when built
+  /// with it, the std::thread fallback above 2048 rows otherwise).
   void matvec(std::span<const double> x, std::span<double> y) const;
 
   /// max |A_ij − A_ji| over stored entries (tests; O(nnz log nnz)).

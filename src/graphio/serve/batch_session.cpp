@@ -11,6 +11,7 @@
 #include "graphio/faults/fault_injection.hpp"
 #include "graphio/io/json.hpp"
 #include "graphio/support/timer.hpp"
+#include "graphio/telemetry/stat_counters.hpp"
 
 namespace graphio::serve {
 
@@ -158,18 +159,7 @@ std::string BatchSummary::to_json() const {
   w.key("hit_rate").value(store_hit_rate());
   w.end_object();
   w.key("cache").begin_object();
-  w.key("hits").value(cache.hits);
-  w.key("misses").value(cache.misses);
-  w.key("eigensolves").value(cache.eigensolves);
-  w.key("mincut_sweeps").value(cache.mincut_sweeps);
-  w.key("topo_computes").value(cache.topo_computes);
-  w.key("memsim_runs").value(cache.memsim_runs);
-  w.key("partition_runs").value(cache.partition_runs);
-  w.key("component_hits").value(cache.component_hits);
-  w.key("subgraph_extractions").value(cache.subgraph_extractions);
-  w.key("fingerprint_computes").value(cache.fingerprint_computes);
-  w.key("warm_hits").value(cache.warm_hits);
-  w.key("warm_iterations_saved").value(cache.warm_iterations_saved);
+  telemetry::write_counts(w, cache);
   w.end_object();
   w.key("stream").begin_object();
   w.key("jobs").value(stream_jobs);
@@ -315,19 +305,53 @@ double BatchSession::handle_stream_job(const Job& job, std::ostream& out,
 }
 
 BatchSummary BatchSession::run(std::istream& in, std::ostream& out) {
+  return drive(in, out, /*interactive=*/false);
+}
+
+BatchSummary BatchSession::serve(std::istream& in, std::ostream& out) {
+  return drive(in, out, /*interactive=*/true);
+}
+
+BatchSummary BatchSession::drive(std::istream& in, std::ostream& out,
+                                 bool interactive) {
   BatchSummary summary;
   WallTimer timer;
   const telemetry::HistogramSnapshot latency_before =
       job_latency_histogram().snapshot();
+  std::vector<double> latencies;
+  const auto observe = [&](double seconds) {
+    job_latency_histogram().observe(seconds);
+    latencies.push_back(seconds);
+  };
+  // One bound job's result line and tallies. Batch mode calls this from
+  // the scheduler, serialized by its result mutex.
+  const auto record = [&](const JobResult& result) {
+    if (result.ok && provenance_ != nullptr)
+      provenance_->append(result.report.provenance);
+    write_result_line(out, result, explain_);
+    if (interactive) out.flush();
+    observe(result.seconds);
+    summary.retried += result.attempts - 1;
+    if (result.quarantined) ++summary.quarantined;
+    if (result.ok) {
+      ++summary.ok;
+      if (report_degraded(result.report)) ++summary.degraded;
+    } else {
+      ++summary.failed;
+    }
+    summary.store_hits += result.store_hits;
+    summary.store_misses += result.store_misses;
+  };
+  engine::ArtifactCache::Stats before;
+  if (interactive) before = scheduler_->engine_stats();
 
-  // Ingest first: rejected lines are reported up front (in line order),
-  // valid bound jobs go to the queue. Stream jobs are stateful, so they
-  // execute *during* ingest, in file order — each stream query sees
-  // exactly the loads/patches above it, while the spec jobs they
-  // interleave with still fan out across workers below. Job ids are
+  // Rejected lines are reported as they are read (in line order). Stream
+  // jobs are stateful, so they execute *during* ingest, in file order —
+  // each stream query sees exactly the loads/patches above it. Batch mode
+  // queues bound jobs and fans them out across workers below; serve mode
+  // answers each on worker 0 before reading the next line. Job ids are
   // 1-based line numbers so the caller can join results back to the
   // jobs file.
-  std::vector<double> latencies;
   std::vector<Job> jobs;
   std::string line;
   std::int64_t line_no = 0;
@@ -342,113 +366,33 @@ BatchSummary BatchSession::run(std::istream& in, std::ostream& out) {
     } catch (const std::exception& e) {
       ++summary.rejected_lines;
       write_reject_line(out, line_no, e.what());
+      if (interactive) out.flush();
       continue;
     }
     job.id = line_no;
     if (job.is_stream()) {
-      const double seconds = handle_stream_job(job, out, summary);
-      job_latency_histogram().observe(seconds);
-      latencies.push_back(seconds);
-      continue;
-    }
-    jobs.push_back(std::move(job));
-  }
-  summary.jobs += static_cast<std::int64_t>(jobs.size());
-
-  latencies.reserve(latencies.size() + jobs.size());
-  const Scheduler::RunStats stats = scheduler_->run(
-      std::move(jobs), [&](const JobResult& result) {
-        // Serialized by the scheduler's result mutex.
-        if (result.ok && provenance_ != nullptr)
-          provenance_->append(result.report.provenance);
-        write_result_line(out, result, explain_);
-        job_latency_histogram().observe(result.seconds);
-        latencies.push_back(result.seconds);
-        summary.retried += result.attempts - 1;
-        if (result.quarantined) ++summary.quarantined;
-        if (result.ok) {
-          ++summary.ok;
-          if (report_degraded(result.report)) ++summary.degraded;
-        } else {
-          ++summary.failed;
-        }
-        summary.store_hits += result.store_hits;
-        summary.store_misses += result.store_misses;
-      });
-
-  summary.threads = stats.threads;
-  summary.steals = stats.steals;
-  // += : stream queries already contributed their engines' deltas.
-  summary.cache += stats.cache;
-  summary.seconds = timer.seconds();
-  summary.throughput =
-      summary.seconds > 0.0
-          ? static_cast<double>(summary.ok + summary.failed) /
-                summary.seconds
-          : 0.0;
-  summary.p50_seconds = percentile(latencies, 0.50);
-  summary.p95_seconds = percentile(latencies, 0.95);
-  summary.latency = job_latency_histogram().snapshot() - latency_before;
-  summary.p99_seconds = summary.latency.percentile(0.99);
-  sync_durable();
-  return summary;
-}
-
-BatchSummary BatchSession::serve(std::istream& in, std::ostream& out) {
-  BatchSummary summary;
-  summary.threads = 1;
-  WallTimer timer;
-  const telemetry::HistogramSnapshot latency_before =
-      job_latency_histogram().snapshot();
-  std::vector<double> latencies;
-  const engine::ArtifactCache::Stats before = scheduler_->engine_stats();
-
-  std::string line;
-  std::int64_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const auto start = line.find_first_not_of(" \t\r");
-    if (start == std::string::npos) continue;
-    if (line[start] == '#') continue;
-    Job job;
-    try {
-      job = job_from_json_line(line);
-    } catch (const std::exception& e) {
-      ++summary.rejected_lines;
-      write_reject_line(out, line_no, e.what());
-      out.flush();
-      continue;
-    }
-    job.id = line_no;
-    if (job.is_stream()) {
-      const double stream_seconds = handle_stream_job(job, out, summary);
-      job_latency_histogram().observe(stream_seconds);
-      latencies.push_back(stream_seconds);
-      out.flush();
-      continue;
-    }
-    ++summary.jobs;
-    const JobResult result = scheduler_->run_one(job);
-    if (result.ok && provenance_ != nullptr)
-      provenance_->append(result.report.provenance);
-    write_result_line(out, result, explain_);
-    out.flush();
-    job_latency_histogram().observe(result.seconds);
-    latencies.push_back(result.seconds);
-    summary.retried += result.attempts - 1;
-    if (result.quarantined) ++summary.quarantined;
-    if (result.ok) {
-      ++summary.ok;
-      if (report_degraded(result.report)) ++summary.degraded;
+      observe(handle_stream_job(job, out, summary));
+      if (interactive) out.flush();
+    } else if (interactive) {
+      ++summary.jobs;
+      record(scheduler_->run_one(job));
     } else {
-      ++summary.failed;
+      jobs.push_back(std::move(job));
     }
-    summary.store_hits += result.store_hits;
-    summary.store_misses += result.store_misses;
   }
 
   // += : stream queries already contributed their engines' deltas.
-  summary.cache += scheduler_->engine_stats() - before;
+  if (interactive) {
+    summary.threads = 1;
+    summary.cache += scheduler_->engine_stats() - before;
+  } else {
+    summary.jobs += static_cast<std::int64_t>(jobs.size());
+    latencies.reserve(latencies.size() + jobs.size());
+    const Scheduler::RunStats stats = scheduler_->run(std::move(jobs), record);
+    summary.threads = stats.threads;
+    summary.steals = stats.steals;
+    summary.cache += stats.cache;
+  }
   summary.seconds = timer.seconds();
   summary.throughput =
       summary.seconds > 0.0

@@ -165,6 +165,9 @@ class BatchSession {
   /// summary, and returns the job latency in seconds.
   double handle_stream_job(const Job& job, std::ostream& out,
                            BatchSummary& summary);
+  /// run() (`interactive` false) and serve() (true): one line loop, one
+  /// result tally.
+  BatchSummary drive(std::istream& in, std::ostream& out, bool interactive);
 
   std::unique_ptr<ResultStore> store_;
   std::shared_ptr<store::ArtifactStore> artifacts_;

@@ -1,50 +1,25 @@
 #include "graphio/serve/result_store.hpp"
 
-#include <charconv>
-#include <cstdio>
 #include <utility>
 
 #include "graphio/engine/fingerprint.hpp"
-#include "graphio/faults/fault_injection.hpp"
 #include "graphio/io/json.hpp"
 #include "graphio/support/contracts.hpp"
-#include "graphio/support/durability.hpp"
-#include "graphio/telemetry/metrics.hpp"
+#include "graphio/telemetry/stat_counters.hpp"
 
 namespace graphio::serve {
 
 namespace {
 
-// Registry mirrors of Stats — process-wide lifetime totals across every
-// ResultStore instance.
-struct ResultStoreMetrics {
-  telemetry::Counter& hits;
-  telemetry::Counter& misses;
-  telemetry::Counter& loaded;
-  telemetry::Counter& corrupt;
-  telemetry::Counter& appended;
-  telemetry::Counter& demoted;
+// Registry totals of every ResultStore, resolved together on first use.
+struct ResultStoreCounters {
+  telemetry::StatCounters<ResultStore::Stats> lookups{"result_store"};
+  store::AppendLog::Counters log{"result_store"};
 };
 
-ResultStoreMetrics& result_store_metrics() {
-  auto& reg = telemetry::MetricsRegistry::global();
-  static ResultStoreMetrics metrics{reg.counter("result_store.hits"),
-                                    reg.counter("result_store.misses"),
-                                    reg.counter("result_store.loaded"),
-                                    reg.counter("result_store.corrupt"),
-                                    reg.counter("result_store.appended"),
-                                    reg.counter("result_store.demoted")};
-  return metrics;
-}
-
-/// Round-trippable double rendering, shared by the key encoding and the
-/// log records so a value always looks up the way it was written.
-std::string format_double_exact(double v) {
-  char buf[32];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v,
-                                       std::chars_format::general, 17);
-  GIO_ASSERT(ec == std::errc());
-  return std::string(buf, static_cast<std::size_t>(end - buf));
+const ResultStoreCounters& result_store_counters() {
+  static const ResultStoreCounters counters;
+  return counters;
 }
 
 engine::BoundKind kind_from_string(const std::string& s) {
@@ -86,14 +61,7 @@ std::pair<ResultStore::Key, engine::MethodRow> parse_record(
     const std::string& line) {
   const io::JsonValue v = io::JsonValue::parse(line);
   ResultStore::Key key;
-  const std::string& hex = v.at("graph").as_string();
-  GIO_EXPECTS_MSG(hex.size() == 16, "bad fingerprint");
-  std::uint64_t fp = 0;
-  const auto [p, ec] =
-      std::from_chars(hex.data(), hex.data() + hex.size(), fp, 16);
-  GIO_EXPECTS_MSG(ec == std::errc() && p == hex.data() + hex.size(),
-                  "bad fingerprint");
-  key.graph_fingerprint = fp;
+  key.graph_fingerprint = engine::parse_fingerprint(v.at("graph").as_string());
   key.method = v.at("method").as_string();
   key.memory = v.at("memory").as_double();
   key.processors = v.at("processors").as_int();
@@ -134,7 +102,7 @@ std::string ResultStore::encode_key(const Key& key) {
   out += '|';
   out += key.method;
   out += '|';
-  out += format_double_exact(key.memory);
+  out += store::format_double_exact(key.memory);
   out += '|';
   out += std::to_string(key.processors);
   out += '|';
@@ -145,101 +113,53 @@ std::string ResultStore::encode_key(const Key& key) {
   return out;
 }
 
-ResultStore::ResultStore(const std::filesystem::path& dir) {
-  // A store that cannot be created or opened must be a hard error: a
-  // silent cache-less run would recompute every eigensolve while the
-  // caller believes results are being persisted. create_directories is
-  // not required to report a pre-existing non-directory on every
-  // implementation, so check both ways.
-  GIO_EXPECTS_MSG(!dir.empty(), "store directory must not be empty");
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  GIO_EXPECTS_MSG(!ec, "cannot create store directory '" + dir.string() +
-                           "': " + ec.message());
-  GIO_EXPECTS_MSG(std::filesystem::is_directory(dir, ec) && !ec,
-                  "store path '" + dir.string() + "' is not a directory");
-  log_path_ = dir / "results.jsonl";
-
-  if (std::filesystem::exists(log_path_)) {
-    std::ifstream in(log_path_);
-    GIO_EXPECTS_MSG(in.good(),
-                    "cannot read store log '" + log_path_.string() + "'");
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      try {
-        auto [key, row] = parse_record(line);
-        if (rows_.emplace(encode_key(key), std::move(row)).second)
-          ++stats_.loaded;
-      } catch (const std::exception&) {
-        ++stats_.corrupt;  // torn/garbage line; keep replaying
-      }
-    }
-    result_store_metrics().loaded.add(stats_.loaded);
-    result_store_metrics().corrupt.add(stats_.corrupt);
-  }
-
-  log_.open(log_path_, std::ios::app);
-  GIO_EXPECTS_MSG(log_.good(),
-                  "cannot append to store log '" + log_path_.string() + "'");
-}
+ResultStore::ResultStore(const std::filesystem::path& dir)
+    : log_(dir,
+           {.file = "results.jsonl",
+            .noun = "store",
+            .fault_site = "result_store.append",
+            .disabled = "result store disk tier disabled",
+            .consequence = "continuing memory-only"},
+           []() -> const store::AppendLog::Counters& {
+             return result_store_counters().log;
+           },
+           [this](const std::string& line) {
+             auto [key, row] = parse_record(line);
+             return rows_.emplace(encode_key(key), std::move(row)).second;
+           }) {}
 
 std::optional<engine::MethodRow> ResultStore::lookup(const Key& key) {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = rows_.find(encode_key(key));
+  const auto& counters = result_store_counters().lookups;
   if (it == rows_.end()) {
-    ++stats_.misses;
-    result_store_metrics().misses.increment();
+    counters.bump<&Stats::misses>(stats_);
     return std::nullopt;
   }
-  ++stats_.hits;
-  result_store_metrics().hits.increment();
+  counters.bump<&Stats::hits>(stats_);
   return it->second;
 }
 
 void ResultStore::insert(const Key& key, const engine::MethodRow& row) {
   const std::lock_guard<std::mutex> lock(mutex_);
   if (!rows_.emplace(encode_key(key), row).second) return;
-  if (demoted_) return;
-  try {
-    faults::inject("result_store.append");
-    log_ << record_line(key, row) << '\n';
-    log_.flush();
-    if (!log_.good())
-      throw std::runtime_error("write failed on '" + log_path_.string() +
-                               "'");
-    ++stats_.appended;
-    result_store_metrics().appended.increment();
-  } catch (const std::exception& e) {
-    demote_locked(e.what());
-  }
-}
-
-void ResultStore::demote_locked(const std::string& why) {
-  demoted_ = true;
-  stats_.demoted = true;
-  result_store_metrics().demoted.increment();
-  log_.close();
-  std::fprintf(stderr,
-               "graphio: result store disk tier disabled (%s); "
-               "continuing memory-only\n",
-               why.c_str());
+  log_.append(record_line(key, row));
 }
 
 void ResultStore::sync() {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (demoted_) return;
-  log_.flush();
-  if (!log_.good()) {
-    demote_locked("flush failed on '" + log_path_.string() + "'");
-    return;
-  }
-  fsync_path(log_path_.string());
+  log_.sync();
 }
 
 ResultStore::Stats ResultStore::stats() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  Stats out = stats_;
+  const store::AppendLog::Stats& disk = log_.stats();
+  out.loaded = disk.loaded;
+  out.corrupt = disk.corrupt;
+  out.appended = disk.appended;
+  out.demoted = disk.demoted;
+  return out;
 }
 
 std::size_t ResultStore::size() const {

@@ -14,20 +14,24 @@
 // layer always evaluates those with defaults; drivers tuning them should
 // point each configuration at its own store directory.
 //
-// The log is append-only and crash-tolerant: unparseable lines (e.g. a
-// torn final line after a crash) are counted and skipped on load, and the
-// next insert simply appends after them.
+// The log is the shared store::AppendLog (store/append_log.hpp), so it is
+// append-only and crash-tolerant exactly like the artifact store's:
+// unparseable lines (e.g. a torn final line after a crash) are counted and
+// skipped on load, the next insert simply appends after them, and a write
+// failure demotes the store to memory-only. Stats total into the
+// `result_store.*` registry counters (telemetry/stat_counters.hpp).
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 
 #include "graphio/engine/method.hpp"
+#include "graphio/store/append_log.hpp"
 
 namespace graphio::serve {
 
@@ -71,25 +75,28 @@ class ResultStore {
     std::int64_t misses = 0;     ///< lookups that found nothing
     std::int64_t appended = 0;   ///< rows written this session
     bool demoted = false;        ///< disk writes disabled after a failure
+    /// The lookup counters' registry names under `result_store`; the
+    /// log's four total there through store::AppendLog::Stats.
+    static constexpr auto fields() {
+      return std::tuple{telemetry::StatField{&Stats::hits, "hits"},
+                        telemetry::StatField{&Stats::misses, "misses"}};
+    }
   };
   [[nodiscard]] Stats stats() const;
 
   [[nodiscard]] std::size_t size() const;
 
   [[nodiscard]] const std::filesystem::path& path() const noexcept {
-    return log_path_;
+    return log_.path();
   }
 
  private:
   static std::string encode_key(const Key& key);
-  void demote_locked(const std::string& why);
 
   mutable std::mutex mutex_;
-  std::filesystem::path log_path_;
-  std::ofstream log_;
   std::unordered_map<std::string, engine::MethodRow> rows_;
-  Stats stats_;
-  bool demoted_ = false;
+  Stats stats_;  ///< hits and misses
+  store::AppendLog log_;
 };
 
 }  // namespace graphio::serve

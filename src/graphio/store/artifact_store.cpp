@@ -1,104 +1,67 @@
 #include "graphio/store/artifact_store.hpp"
 
-#include <charconv>
-#include <limits>
-
-#include <cstdio>
+#include <iterator>
+#include <ostream>
+#include <string_view>
 
 #include "graphio/engine/fingerprint.hpp"
-#include "graphio/faults/fault_injection.hpp"
 #include "graphio/io/json.hpp"
 #include "graphio/support/contracts.hpp"
-#include "graphio/support/durability.hpp"
-#include "graphio/telemetry/metrics.hpp"
+#include "graphio/telemetry/stat_counters.hpp"
 #include "graphio/telemetry/trace.hpp"
 
 namespace graphio::store {
 
 namespace {
 
-// Registry mirrors of the per-kind Stats counters plus disk-tier events.
-// Process-wide lifetime totals; the struct Stats stays the per-instance
-// view. One relaxed atomic add per event once resolved.
-struct KindMetrics {
-  telemetry::Counter& hits;
-  telemetry::Counter& misses;
-  telemetry::Counter& evicted;
+using KindStats = ArtifactStore::KindStats;
+using KindCounters = telemetry::StatCounters<KindStats>;
+
+// Registry totals of every ArtifactStore: per-kind hits/misses/evictions
+// and the disk log's counts. Resolved together on first use, so the
+// whole `store.*` group registers at once.
+struct StoreCounters {
+  KindCounters spectrum{"store.spectrum"};
+  KindCounters topo{"store.topo"};
+  KindCounters mincut{"store.mincut"};
+  KindCounters memsim{"store.memsim"};
+  KindCounters partition{"store.partition"};
+  KindCounters eigenbasis{"store.eigenbasis"};
+  AppendLog::Counters disk{"store.disk"};
 };
 
-struct StoreMetrics {
-  KindMetrics spectrum;
-  KindMetrics topo;
-  KindMetrics mincut;
-  KindMetrics memsim;
-  KindMetrics partition;
-  KindMetrics eigenbasis;
-  telemetry::Counter& loaded;
-  telemetry::Counter& corrupt;
-  telemetry::Counter& appended;
-  telemetry::Counter& demoted;
-};
-
-StoreMetrics& store_metrics() {
-  auto& reg = telemetry::MetricsRegistry::global();
-  auto kind = [&reg](const char* name) {
-    const std::string prefix = std::string("store.") + name;
-    return KindMetrics{reg.counter(prefix + ".hits"),
-                       reg.counter(prefix + ".misses"),
-                       reg.counter(prefix + ".evicted")};
-  };
-  static StoreMetrics metrics{kind("spectrum"),
-                              kind("topo"),
-                              kind("mincut"),
-                              kind("memsim"),
-                              kind("partition"),
-                              kind("eigenbasis"),
-                              reg.counter("store.disk.loaded"),
-                              reg.counter("store.disk.corrupt"),
-                              reg.counter("store.disk.appended"),
-                              reg.counter("store.disk.demoted")};
-  return metrics;
+const StoreCounters& store_counters() {
+  static const StoreCounters counters;
+  return counters;
 }
+
+const AppendLog::Names kLogNames{
+    .file = "artifacts.jsonl",
+    .noun = "artifact store",
+    .fault_site = "store.disk.append",
+    .disabled = "artifact store disk tier disabled",
+    .consequence = "continuing memory-only",
+    .replay_event = "store.replay",
+};
 
 // Marker event under the current span (a method or stream query span)
 // when tracing is on — the hit/miss attribution per lookup the counters
 // cannot give.
-void trace_lookup(const char* kind, bool hit) {
+void trace_lookup(std::string_view kind, bool hit) {
   telemetry::Tracer& tracer = telemetry::Tracer::global();
   if (!tracer.enabled()) return;
   tracer.instant(hit ? "store.hit" : "store.miss",
                  {telemetry::Attr::str("kind", kind)});
 }
 
-/// Round-trippable double rendering (same contract as the ResultStore's):
-/// a value always looks up the way it was written.
-std::string format_double_exact(double v) {
-  char buf[32];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v,
-                                       std::chars_format::general, 17);
-  GIO_ASSERT(ec == std::errc());
-  return std::string(buf, static_cast<std::size_t>(end - buf));
-}
-
-std::uint64_t parse_fingerprint(const std::string& hex) {
-  GIO_EXPECTS_MSG(hex.size() == 16, "bad fingerprint");
-  std::uint64_t fp = 0;
-  const auto [p, ec] =
-      std::from_chars(hex.data(), hex.data() + hex.size(), fp, 16);
-  GIO_EXPECTS_MSG(ec == std::errc() && p == hex.data() + hex.size(),
-                  "bad fingerprint");
-  return fp;
-}
-
-std::string_view lap_name(LaplacianKind kind) {
-  return kind == LaplacianKind::kPlain ? "plain" : "norm";
-}
-
-LaplacianKind lap_from(const std::string& s) {
-  if (s == "plain") return LaplacianKind::kPlain;
-  if (s == "norm") return LaplacianKind::kOutDegreeNormalized;
-  GIO_EXPECTS_MSG(false, "unknown laplacian kind '" + s + "'");
-  return LaplacianKind::kPlain;  // unreachable
+/// Counts one lookup of a kind as a hit or a miss.
+void count_lookup(const KindCounters& counters, KindStats& stats,
+                  std::string_view kind, bool hit) {
+  if (hit)
+    counters.bump<&KindStats::hits>(stats);
+  else
+    counters.bump<&KindStats::misses>(stats);
+  trace_lookup(kind, hit);
 }
 
 std::string_view flow_name(flow::FlowEngine engine) {
@@ -127,7 +90,7 @@ std::string spectrum_line(std::uint64_t fp, LaplacianKind kind,
   w.begin_object();
   w.key("kind").value("spectrum");
   w.key("fp").value(engine::fingerprint_hex(fp));
-  w.key("lap").value(lap_name(kind));
+  w.key("lap").value(to_string(kind));
   w.key("opts").value(options_key);
   w.key("requested").value(requested);
   w.key("vertices").value(solve.vertices);
@@ -152,60 +115,215 @@ std::string spectrum_line(std::uint64_t fp, LaplacianKind kind,
   return w.str();
 }
 
-std::string topo_line(std::uint64_t fp, const TopoOrderArtifact& topo) {
-  io::JsonWriter w;
-  w.begin_object();
-  w.key("kind").value("topo");
-  w.key("fp").value(engine::fingerprint_hex(fp));
-  w.key("order").begin_array();
-  for (VertexId v : topo.order) w.value(static_cast<std::int64_t>(v));
-  w.end_array();
-  w.end_object();
-  return w.str();
-}
+// ------------------------------------------------------ plain-kind codecs
+//
+// A codec names its kind and registry group, its key (content fingerprint
+// first, then the kind's options), which values reach the disk tier, and
+// the log fields after "kind" and "fp".
 
-std::string mincut_line(std::uint64_t fp, flow::FlowEngine engine,
-                        const MincutSweepArtifact& sweep) {
-  io::JsonWriter w;
-  w.begin_object();
-  w.key("kind").value("mincut");
-  w.key("fp").value(engine::fingerprint_hex(fp));
-  w.key("engine").value(flow_name(engine));
-  w.key("best_cut").value(sweep.best_cut);
-  w.key("best_vertex").value(static_cast<std::int64_t>(sweep.best_vertex));
-  w.key("vertices_processed").value(sweep.vertices_processed);
-  w.end_object();
-  return w.str();
-}
+struct TopoCodec {
+  static constexpr std::string_view name = "topo";
+  static constexpr auto counters = &StoreCounters::topo;
+  using Key = std::tuple<std::uint64_t>;
+  using Value = TopoOrderArtifact;
+  static bool persist(const Value&) { return true; }
+  static void write(io::JsonWriter& w, const Key&, const Value& topo) {
+    w.key("order").begin_array();
+    for (VertexId v : topo.order) w.value(static_cast<std::int64_t>(v));
+    w.end_array();
+  }
+  static std::pair<Key, Value> parse(const io::JsonValue& v,
+                                     std::uint64_t fp) {
+    Value topo;
+    for (const io::JsonValue& item : v.at("order").items())
+      topo.order.push_back(static_cast<VertexId>(item.as_int()));
+    return {Key{fp}, std::move(topo)};
+  }
+};
 
-std::string memsim_line(std::uint64_t fp, std::int64_t memory,
-                        int random_orders, const MemsimRowArtifact& row) {
-  io::JsonWriter w;
-  w.begin_object();
-  w.key("kind").value("memsim");
-  w.key("fp").value(engine::fingerprint_hex(fp));
-  w.key("memory").value(memory);
-  w.key("orders").value(random_orders);
-  w.key("reads").value(row.reads);
-  w.key("writes").value(row.writes);
-  w.end_object();
-  return w.str();
-}
+struct MincutCodec {
+  static constexpr std::string_view name = "mincut";
+  static constexpr auto counters = &StoreCounters::mincut;
+  using Key = std::tuple<std::uint64_t, flow::FlowEngine>;
+  using Value = MincutSweepArtifact;
+  /// A time-budget-cut sweep is a valid but degraded bound that must not
+  /// be served forever.
+  static bool persist(const Value& sweep) { return sweep.completed; }
+  static void write(io::JsonWriter& w, const Key& key, const Value& sweep) {
+    w.key("engine").value(flow_name(std::get<1>(key)));
+    w.key("best_cut").value(sweep.best_cut);
+    w.key("best_vertex").value(static_cast<std::int64_t>(sweep.best_vertex));
+    w.key("vertices_processed").value(sweep.vertices_processed);
+  }
+  static std::pair<Key, Value> parse(const io::JsonValue& v,
+                                     std::uint64_t fp) {
+    Value sweep;
+    sweep.best_cut = v.at("best_cut").as_int();
+    sweep.best_vertex = static_cast<VertexId>(v.at("best_vertex").as_int());
+    sweep.vertices_processed = v.at("vertices_processed").as_int();
+    sweep.completed = true;  // only completed sweeps are persisted
+    return {Key{fp, flow_from(v.at("engine").as_string())}, sweep};
+  }
+};
 
-std::string partition_line(std::uint64_t fp, double memory,
-                           const PartitionRowArtifact& row) {
-  io::JsonWriter w;
-  w.begin_object();
-  w.key("kind").value("partition");
-  w.key("fp").value(engine::fingerprint_hex(fp));
-  w.key("memory").value(memory);
-  w.key("objective").value(row.objective);
-  w.key("segments").value(row.segments);
-  w.end_object();
-  return w.str();
-}
+struct MemsimCodec {
+  static constexpr std::string_view name = "memsim";
+  static constexpr auto counters = &StoreCounters::memsim;
+  using Key = std::tuple<std::uint64_t, std::int64_t, int>;
+  using Value = MemsimRowArtifact;
+  static bool persist(const Value&) { return true; }
+  static void write(io::JsonWriter& w, const Key& key, const Value& row) {
+    w.key("memory").value(std::get<1>(key));
+    w.key("orders").value(std::get<2>(key));
+    w.key("reads").value(row.reads);
+    w.key("writes").value(row.writes);
+  }
+  static std::pair<Key, Value> parse(const io::JsonValue& v,
+                                     std::uint64_t fp) {
+    Value row;
+    row.reads = v.at("reads").as_int();
+    row.writes = v.at("writes").as_int();
+    return {Key{fp, v.at("memory").as_int(),
+                static_cast<int>(v.at("orders").as_int())},
+            row};
+  }
+};
+
+struct PartitionCodec {
+  static constexpr std::string_view name = "partition";
+  static constexpr auto counters = &StoreCounters::partition;
+  using Key = std::tuple<std::uint64_t, double>;
+  using Value = PartitionRowArtifact;
+  static bool persist(const Value&) { return true; }
+  static void write(io::JsonWriter& w, const Key& key, const Value& row) {
+    w.key("memory").value(std::get<1>(key));
+    w.key("objective").value(row.objective);
+    w.key("segments").value(row.segments);
+  }
+  static std::pair<Key, Value> parse(const io::JsonValue& v,
+                                     std::uint64_t fp) {
+    Value row;
+    row.objective = v.at("objective").as_double();
+    row.segments = v.at("segments").as_int();
+    return {Key{fp, v.at("memory").as_double()}, row};
+  }
+};
+
+/// Key order with a fingerprint-only probe: a fingerprint's entries form
+/// one contiguous range, found without naming the kind's options.
+template <class Key>
+struct ByFingerprint {
+  using is_transparent = void;
+  bool operator()(const Key& a, const Key& b) const { return a < b; }
+  bool operator()(const Key& a, std::uint64_t fp) const {
+    return std::get<0>(a) < fp;
+  }
+  bool operator()(std::uint64_t fp, const Key& b) const {
+    return fp < std::get<0>(b);
+  }
+};
+
+/// One plain kind's memory tier: lookup, insert, disk append, erase by
+/// fingerprint, clear and compaction, with the hit/miss/entry/evict
+/// accounting. Callers hold the store mutex.
+template <class Codec>
+class KindTable {
+ public:
+  using Key = typename Codec::Key;
+  using Value = typename Codec::Value;
+  static constexpr std::string_view name = Codec::name;
+
+  std::optional<Value> lookup(const Key& key) {
+    const auto it = entries_.find(key);
+    const bool hit = it != entries_.end();
+    count_lookup(counters(), stats_, Codec::name, hit);
+    if (!hit) return std::nullopt;
+    return it->second;
+  }
+
+  /// Inserts without counting hits/misses (first write wins); true when
+  /// the key was new.
+  bool put(const Key& key, const Value& value) {
+    if (!entries_.emplace(key, value).second) return false;
+    ++stats_.entries;
+    return true;
+  }
+
+  /// put(), mirrored to the log when new and persistable.
+  void store(const Key& key, const Value& value, AppendLog& log) {
+    if (put(key, value) && log.durable() && Codec::persist(value))
+      log.append(line(key, value));
+  }
+
+  void replay(const io::JsonValue& v, std::uint64_t fp) {
+    const auto [key, value] = Codec::parse(v, fp);
+    put(key, value);
+  }
+
+  std::int64_t erase(std::uint64_t fp) {
+    const auto [first, last] = entries_.equal_range(fp);
+    const auto n = static_cast<std::int64_t>(std::distance(first, last));
+    if (n == 0) return 0;
+    entries_.erase(first, last);
+    stats_.entries -= n;
+    counters().template bump<&KindStats::evicted>(stats_, n);
+    return n;
+  }
+
+  void clear() {
+    entries_.clear();
+    stats_.entries = 0;
+  }
+
+  /// Writes every persistable entry's line; returns how many.
+  std::int64_t write(std::ostream& out) const {
+    std::int64_t written = 0;
+    for (const auto& [key, value] : entries_) {
+      if (!Codec::persist(value)) continue;
+      out << line(key, value) << '\n';
+      ++written;
+    }
+    return written;
+  }
+
+  [[nodiscard]] const KindStats& stats() const noexcept { return stats_; }
+
+ private:
+  static const KindCounters& counters() {
+    return store_counters().*Codec::counters;
+  }
+
+  static std::string line(const Key& key, const Value& value) {
+    io::JsonWriter w;
+    w.begin_object();
+    w.key("kind").value(Codec::name);
+    w.key("fp").value(engine::fingerprint_hex(std::get<0>(key)));
+    Codec::write(w, key, value);
+    w.end_object();
+    return w.str();
+  }
+
+  std::map<Key, Value, ByFingerprint<Key>> entries_;
+  KindStats stats_;
+};
 
 }  // namespace
+
+struct ArtifactStore::Tables {
+  KindTable<TopoCodec> topo;
+  KindTable<MincutCodec> mincut;
+  KindTable<MemsimCodec> memsim;
+  KindTable<PartitionCodec> partition;
+
+  /// Applies `f` to every table, in log order.
+  template <class F>
+  void each(F&& f) {
+    f(topo);
+    f(mincut);
+    f(memsim);
+    f(partition);
+  }
+};
 
 std::string ArtifactStore::spectral_options_key(
     const SpectralOptions& options) {
@@ -233,50 +351,25 @@ std::string ArtifactStore::spectral_options_key(
   return out;
 }
 
-ArtifactStore::ArtifactStore(const std::filesystem::path& dir) {
-  GIO_EXPECTS_MSG(!dir.empty(), "artifact store directory must not be empty");
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  GIO_EXPECTS_MSG(!ec, "cannot create artifact store directory '" +
-                           dir.string() + "': " + ec.message());
-  GIO_EXPECTS_MSG(std::filesystem::is_directory(dir, ec) && !ec,
-                  "artifact store path '" + dir.string() +
-                      "' is not a directory");
-  log_path_ = dir / "artifacts.jsonl";
+ArtifactStore::ArtifactStore() : tables_(std::make_unique<Tables>()) {}
 
-  if (std::filesystem::exists(log_path_)) {
-    std::ifstream in(log_path_);
-    GIO_EXPECTS_MSG(in.good(), "cannot read artifact store log '" +
-                                   log_path_.string() + "'");
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      try {
+ArtifactStore::ArtifactStore(const std::filesystem::path& dir)
+    : ArtifactStore() {
+  log_ = AppendLog(
+      dir, kLogNames,
+      []() -> const AppendLog::Counters& { return store_counters().disk; },
+      [this](const std::string& line) {
         replay_line_locked(line);
-        ++stats_.loaded;
-      } catch (const std::exception&) {
-        ++stats_.corrupt;  // torn/garbage line; keep replaying
-      }
-    }
-    store_metrics().loaded.add(stats_.loaded);
-    store_metrics().corrupt.add(stats_.corrupt);
-    telemetry::Tracer& tracer = telemetry::Tracer::global();
-    if (tracer.enabled()) {
-      tracer.instant("store.replay",
-                     {telemetry::Attr::integer("loaded", stats_.loaded),
-                      telemetry::Attr::integer("corrupt", stats_.corrupt)});
-    }
-  }
-
-  log_.open(log_path_, std::ios::app);
-  GIO_EXPECTS_MSG(log_.good(), "cannot append to artifact store log '" +
-                                   log_path_.string() + "'");
+        return true;
+      });
 }
+
+ArtifactStore::~ArtifactStore() = default;
 
 void ArtifactStore::replay_line_locked(const std::string& line) {
   const io::JsonValue v = io::JsonValue::parse(line);
   const std::string& kind = v.at("kind").as_string();
-  const std::uint64_t fp = parse_fingerprint(v.at("fp").as_string());
+  const std::uint64_t fp = engine::parse_fingerprint(v.at("fp").as_string());
   if (kind == "spectrum") {
     ComponentSolve solve;
     solve.vertices = v.at("vertices").as_int();
@@ -294,79 +387,24 @@ void ArtifactStore::replay_line_locked(const std::string& line) {
     if (const io::JsonValue* residual = v.get("residual"))
       solve.max_residual = residual->as_double();
     if (const io::JsonValue* pred = v.get("pred"))
-      solve.warm_predecessor = parse_fingerprint(pred->as_string());
+      solve.warm_predecessor = engine::parse_fingerprint(pred->as_string());
     if (const io::JsonValue* reason = v.get("reason"))
       solve.solver_reason = reason->as_string();
     solve.from_disk = true;  // this entry's values crossed a process restart
     for (const io::JsonValue& item : v.at("values").items())
       solve.values.push_back(item.as_double());
-    put_spectrum_locked(fp, lap_from(v.at("lap").as_string()),
+    put_spectrum_locked(fp, laplacian_kind_from(v.at("lap").as_string()),
                         static_cast<int>(v.at("requested").as_int()),
                         v.at("opts").as_string(), solve);
     return;
   }
-  if (kind == "topo") {
-    TopoOrderArtifact topo;
-    for (const io::JsonValue& item : v.at("order").items())
-      topo.order.push_back(static_cast<VertexId>(item.as_int()));
-    put_topo_locked(fp, topo);
-    return;
-  }
-  if (kind == "mincut") {
-    MincutSweepArtifact sweep;
-    sweep.best_cut = v.at("best_cut").as_int();
-    sweep.best_vertex = static_cast<VertexId>(v.at("best_vertex").as_int());
-    sweep.vertices_processed = v.at("vertices_processed").as_int();
-    sweep.completed = true;  // only completed sweeps are persisted
-    put_mincut_locked(fp, flow_from(v.at("engine").as_string()), sweep);
-    return;
-  }
-  if (kind == "memsim") {
-    MemsimRowArtifact row;
-    row.reads = v.at("reads").as_int();
-    row.writes = v.at("writes").as_int();
-    put_memsim_locked(fp, v.at("memory").as_int(),
-                      static_cast<int>(v.at("orders").as_int()), row);
-    return;
-  }
-  if (kind == "partition") {
-    PartitionRowArtifact row;
-    row.objective = v.at("objective").as_double();
-    row.segments = v.at("segments").as_int();
-    put_partition_locked(fp, v.at("memory").as_double(), row);
-    return;
-  }
-  GIO_EXPECTS_MSG(false, "unknown artifact kind '" + kind + "'");
-}
-
-void ArtifactStore::append_locked(const std::string& line) {
-  if (demoted_) return;
-  try {
-    faults::inject("store.disk.append");
-    log_ << line << '\n';
-    log_.flush();
-    // A failed flush (ENOSPC, short write) sets badbit; the line may be
-    // torn on disk, which replay tolerates. Never keep writing into a
-    // failed stream — that is how logs corrupt.
-    if (!log_.good())
-      throw std::runtime_error("write failed on '" + log_path_.string() +
-                               "'");
-    ++stats_.appended;
-    store_metrics().appended.increment();
-  } catch (const std::exception& e) {
-    demote_locked(e.what());
-  }
-}
-
-void ArtifactStore::demote_locked(const std::string& why) {
-  demoted_ = true;
-  stats_.demoted = true;
-  store_metrics().demoted.increment();
-  log_.close();
-  std::fprintf(stderr,
-               "graphio: artifact store disk tier disabled (%s); "
-               "continuing memory-only\n",
-               why.c_str());
+  bool known = false;
+  tables_->each([&](auto& table) {
+    if (known || kind != table.name) return;
+    table.replay(v, fp);
+    known = true;
+  });
+  GIO_EXPECTS_MSG(known, "unknown artifact kind '" + kind + "'");
 }
 
 // ------------------------------------------------------------- spectrum
@@ -380,9 +418,8 @@ std::optional<ComponentSolve> ArtifactStore::lookup_spectrum(
   if (it != spectra_.end()) {
     for (const SpectrumEntry& entry : it->second) {
       if (entry.requested < count || entry.options_key != key) continue;
-      ++stats_.spectrum.hits;
-      store_metrics().spectrum.hits.increment();
-      trace_lookup("spectrum", true);
+      count_lookup(store_counters().spectrum, stats_.spectrum, "spectrum",
+                   true);
       ComponentSolve solve = entry.solve;
       // Truncate to the request (values are ascending, so the prefix IS
       // the smallest `count`) — equal-count requests then see one
@@ -395,9 +432,7 @@ std::optional<ComponentSolve> ArtifactStore::lookup_spectrum(
       return solve;
     }
   }
-  ++stats_.spectrum.misses;
-  store_metrics().spectrum.misses.increment();
-  trace_lookup("spectrum", false);
+  count_lookup(store_counters().spectrum, stats_.spectrum, "spectrum", false);
   return std::nullopt;
 }
 
@@ -434,147 +469,59 @@ void ArtifactStore::store_spectrum(std::uint64_t fingerprint,
   const std::scoped_lock lock(mutex_);
   if (!put_spectrum_locked(fingerprint, kind, requested, key, solve)) return;
   if (durable() && solve.converged)
-    append_locked(spectrum_line(fingerprint, kind, requested, key, solve));
+    log_.append(spectrum_line(fingerprint, kind, requested, key, solve));
 }
 
-// ----------------------------------------------------------- topo order
+// ---------------------------------------------------------- plain kinds
 
 std::optional<TopoOrderArtifact> ArtifactStore::lookup_topo(
     std::uint64_t fingerprint) {
   const std::scoped_lock lock(mutex_);
-  const auto it = topo_.find(fingerprint);
-  if (it == topo_.end()) {
-    ++stats_.topo.misses;
-    store_metrics().topo.misses.increment();
-    trace_lookup("topo", false);
-    return std::nullopt;
-  }
-  ++stats_.topo.hits;
-  store_metrics().topo.hits.increment();
-  trace_lookup("topo", true);
-  return it->second;
-}
-
-bool ArtifactStore::put_topo_locked(std::uint64_t fingerprint,
-                                    const TopoOrderArtifact& topo) {
-  if (!topo_.emplace(fingerprint, topo).second) return false;
-  ++stats_.topo.entries;
-  return true;
+  return tables_->topo.lookup({fingerprint});
 }
 
 void ArtifactStore::store_topo(std::uint64_t fingerprint,
                                const TopoOrderArtifact& topo) {
   const std::scoped_lock lock(mutex_);
-  if (!put_topo_locked(fingerprint, topo)) return;
-  if (durable()) append_locked(topo_line(fingerprint, topo));
+  tables_->topo.store({fingerprint}, topo, log_);
 }
-
-// -------------------------------------------------------- min-cut sweep
 
 std::optional<MincutSweepArtifact> ArtifactStore::lookup_mincut(
     std::uint64_t fingerprint, flow::FlowEngine engine) {
   const std::scoped_lock lock(mutex_);
-  const auto it = mincut_.find({fingerprint, engine});
-  if (it == mincut_.end()) {
-    ++stats_.mincut.misses;
-    store_metrics().mincut.misses.increment();
-    trace_lookup("mincut", false);
-    return std::nullopt;
-  }
-  ++stats_.mincut.hits;
-  store_metrics().mincut.hits.increment();
-  trace_lookup("mincut", true);
-  return it->second;
-}
-
-bool ArtifactStore::put_mincut_locked(std::uint64_t fingerprint,
-                                      flow::FlowEngine engine,
-                                      const MincutSweepArtifact& sweep) {
-  if (!mincut_.emplace(std::make_pair(fingerprint, engine), sweep).second)
-    return false;
-  ++stats_.mincut.entries;
-  return true;
+  return tables_->mincut.lookup({fingerprint, engine});
 }
 
 void ArtifactStore::store_mincut(std::uint64_t fingerprint,
                                  flow::FlowEngine engine,
                                  const MincutSweepArtifact& sweep) {
   const std::scoped_lock lock(mutex_);
-  if (!put_mincut_locked(fingerprint, engine, sweep)) return;
-  if (durable() && sweep.completed)
-    append_locked(mincut_line(fingerprint, engine, sweep));
+  tables_->mincut.store({fingerprint, engine}, sweep, log_);
 }
-
-// ----------------------------------------------------------- memsim row
 
 std::optional<MemsimRowArtifact> ArtifactStore::lookup_memsim(
     std::uint64_t fingerprint, std::int64_t memory, int random_orders) {
   const std::scoped_lock lock(mutex_);
-  const auto it = memsim_.find({fingerprint, memory, random_orders});
-  if (it == memsim_.end()) {
-    ++stats_.memsim.misses;
-    store_metrics().memsim.misses.increment();
-    trace_lookup("memsim", false);
-    return std::nullopt;
-  }
-  ++stats_.memsim.hits;
-  store_metrics().memsim.hits.increment();
-  trace_lookup("memsim", true);
-  return it->second;
-}
-
-bool ArtifactStore::put_memsim_locked(std::uint64_t fingerprint,
-                                      std::int64_t memory, int random_orders,
-                                      const MemsimRowArtifact& row) {
-  if (!memsim_
-           .emplace(std::make_tuple(fingerprint, memory, random_orders), row)
-           .second)
-    return false;
-  ++stats_.memsim.entries;
-  return true;
+  return tables_->memsim.lookup({fingerprint, memory, random_orders});
 }
 
 void ArtifactStore::store_memsim(std::uint64_t fingerprint,
                                  std::int64_t memory, int random_orders,
                                  const MemsimRowArtifact& row) {
   const std::scoped_lock lock(mutex_);
-  if (!put_memsim_locked(fingerprint, memory, random_orders, row)) return;
-  if (durable())
-    append_locked(memsim_line(fingerprint, memory, random_orders, row));
+  tables_->memsim.store({fingerprint, memory, random_orders}, row, log_);
 }
-
-// -------------------------------------------------------- partition row
 
 std::optional<PartitionRowArtifact> ArtifactStore::lookup_partition(
     std::uint64_t fingerprint, double memory) {
   const std::scoped_lock lock(mutex_);
-  const auto it = partition_.find({fingerprint, memory});
-  if (it == partition_.end()) {
-    ++stats_.partition.misses;
-    store_metrics().partition.misses.increment();
-    trace_lookup("partition", false);
-    return std::nullopt;
-  }
-  ++stats_.partition.hits;
-  store_metrics().partition.hits.increment();
-  trace_lookup("partition", true);
-  return it->second;
-}
-
-bool ArtifactStore::put_partition_locked(std::uint64_t fingerprint,
-                                         double memory,
-                                         const PartitionRowArtifact& row) {
-  if (!partition_.emplace(std::make_pair(fingerprint, memory), row).second)
-    return false;
-  ++stats_.partition.entries;
-  return true;
+  return tables_->partition.lookup({fingerprint, memory});
 }
 
 void ArtifactStore::store_partition(std::uint64_t fingerprint, double memory,
                                     const PartitionRowArtifact& row) {
   const std::scoped_lock lock(mutex_);
-  if (!put_partition_locked(fingerprint, memory, row)) return;
-  if (durable()) append_locked(partition_line(fingerprint, memory, row));
+  tables_->partition.store({fingerprint, memory}, row, log_);
 }
 
 // ----------------------------------------------------------- eigenbasis
@@ -586,15 +533,13 @@ std::optional<Eigenbasis> ArtifactStore::lookup_eigenbasis(
     const auto it = bases_.find({fingerprint, kind});
     if (it != bases_.end()) {
       it->second.last_used = ++basis_tick_;
-      ++stats_.eigenbasis.hits;
-      store_metrics().eigenbasis.hits.increment();
-      trace_lookup("eigenbasis", true);
+      count_lookup(store_counters().eigenbasis, stats_.eigenbasis,
+                   "eigenbasis", true);
       return it->second.basis;
     }
   }
-  ++stats_.eigenbasis.misses;
-  store_metrics().eigenbasis.misses.increment();
-  trace_lookup("eigenbasis", false);
+  count_lookup(store_counters().eigenbasis, stats_.eigenbasis, "eigenbasis",
+               false);
   return std::nullopt;
 }
 
@@ -641,8 +586,7 @@ void ArtifactStore::evict_eigenbases_locked() {
     basis_bytes_ -= static_cast<std::int64_t>(victim->second.bytes);
     bases_.erase(victim);
     --stats_.eigenbasis.entries;
-    ++stats_.eigenbasis.evicted;
-    store_metrics().eigenbasis.evicted.increment();
+    store_counters().eigenbasis.bump<&KindStats::evicted>(stats_.eigenbasis);
   }
 }
 
@@ -680,58 +624,18 @@ std::int64_t ArtifactStore::erase(std::uint64_t fingerprint) {
     while (it != spectra_.end() && it->first.first == fingerprint) {
       const auto n = static_cast<std::int64_t>(it->second.size());
       stats_.spectrum.entries -= n;
-      stats_.spectrum.evicted += n;
-      store_metrics().spectrum.evicted.add(n);
+      store_counters().spectrum.bump<&KindStats::evicted>(stats_.spectrum, n);
       removed += n;
       it = spectra_.erase(it);
     }
   }
-  if (topo_.erase(fingerprint) > 0) {
-    --stats_.topo.entries;
-    ++stats_.topo.evicted;
-    store_metrics().topo.evicted.increment();
-    ++removed;
-  }
-  {
-    auto it = mincut_.lower_bound({fingerprint, flow::FlowEngine{}});
-    while (it != mincut_.end() && it->first.first == fingerprint) {
-      --stats_.mincut.entries;
-      ++stats_.mincut.evicted;
-      store_metrics().mincut.evicted.increment();
-      ++removed;
-      it = mincut_.erase(it);
-    }
-  }
-  {
-    auto it = memsim_.lower_bound(std::make_tuple(
-        fingerprint, std::numeric_limits<std::int64_t>::min(),
-        std::numeric_limits<int>::min()));
-    while (it != memsim_.end() && std::get<0>(it->first) == fingerprint) {
-      --stats_.memsim.entries;
-      ++stats_.memsim.evicted;
-      store_metrics().memsim.evicted.increment();
-      ++removed;
-      it = memsim_.erase(it);
-    }
-  }
-  {
-    auto it = partition_.lower_bound(
-        {fingerprint, -std::numeric_limits<double>::infinity()});
-    while (it != partition_.end() && it->first.first == fingerprint) {
-      --stats_.partition.entries;
-      ++stats_.partition.evicted;
-      store_metrics().partition.evicted.increment();
-      ++removed;
-      it = partition_.erase(it);
-    }
-  }
+  tables_->each([&](auto& table) { removed += table.erase(fingerprint); });
   {
     auto it = bases_.lower_bound({fingerprint, LaplacianKind{}});
     while (it != bases_.end() && it->first.first == fingerprint) {
       basis_bytes_ -= static_cast<std::int64_t>(it->second.bytes);
       --stats_.eigenbasis.entries;
-      ++stats_.eigenbasis.evicted;
-      store_metrics().eigenbasis.evicted.increment();
+      store_counters().eigenbasis.bump<&KindStats::evicted>(stats_.eigenbasis);
       ++removed;
       it = bases_.erase(it);
     }
@@ -742,30 +646,17 @@ std::int64_t ArtifactStore::erase(std::uint64_t fingerprint) {
 void ArtifactStore::clear() {
   const std::scoped_lock lock(mutex_);
   spectra_.clear();
-  topo_.clear();
-  mincut_.clear();
-  memsim_.clear();
-  partition_.clear();
+  tables_->each([](auto& table) { table.clear(); });
   bases_.clear();
   basis_bytes_ = 0;
   stats_.spectrum.entries = 0;
-  stats_.topo.entries = 0;
-  stats_.mincut.entries = 0;
-  stats_.memsim.entries = 0;
-  stats_.partition.entries = 0;
   stats_.eigenbasis.entries = 0;
 }
 
 std::int64_t ArtifactStore::compact() {
   const std::scoped_lock lock(mutex_);
-  GIO_EXPECTS_MSG(durable(), "artifact store has no disk tier to compact");
-  std::filesystem::path tmp = log_path_;
-  tmp += ".tmp";
-  std::int64_t written = 0;
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    GIO_EXPECTS_MSG(out.good(), "cannot write compacted artifact log '" +
-                                    tmp.string() + "'");
+  return log_.rewrite("store.disk.compact", [this](std::ostream& out) {
+    std::int64_t written = 0;
     for (const auto& [key, slots] : spectra_)
       for (const SpectrumEntry& entry : slots) {
         if (!entry.solve.converged) continue;  // never persisted
@@ -774,68 +665,28 @@ std::int64_t ArtifactStore::compact() {
             << '\n';
         ++written;
       }
-    for (const auto& [fp, topo] : topo_) {
-      out << topo_line(fp, topo) << '\n';
-      ++written;
-    }
-    for (const auto& [key, sweep] : mincut_) {
-      if (!sweep.completed) continue;
-      out << mincut_line(key.first, key.second, sweep) << '\n';
-      ++written;
-    }
-    for (const auto& [key, row] : memsim_) {
-      out << memsim_line(std::get<0>(key), std::get<1>(key),
-                         std::get<2>(key), row)
-          << '\n';
-      ++written;
-    }
-    for (const auto& [key, row] : partition_) {
-      out << partition_line(key.first, key.second, row) << '\n';
-      ++written;
-    }
-    out.flush();
-    GIO_EXPECTS_MSG(out.good(), "error writing compacted artifact log '" +
-                                    tmp.string() + "'");
-  }
-  log_.close();
-  std::error_code ec;
-  const bool injected = faults::trip("store.disk.compact");
-  if (!injected) std::filesystem::rename(tmp, log_path_, ec);
-  if (injected || ec) {
-    // The original log is untouched by a failed rename: drop the stale
-    // .tmp, resume appending to the original, and surface the failure.
-    std::error_code rm;
-    std::filesystem::remove(tmp, rm);
-    log_.open(log_path_, std::ios::app);
-    if (injected)
-      throw faults::FaultInjected("store.disk.compact", "io", false);
-    GIO_EXPECTS_MSG(false, "cannot replace artifact log '" +
-                               log_path_.string() + "': " + ec.message());
-  }
-  // Make the rename itself durable: without a directory fsync a crash can
-  // resurface the old inode — or nothing at all.
-  fsync_path(log_path_.string());
-  fsync_parent_dir(log_path_.string());
-  log_.open(log_path_, std::ios::app);
-  GIO_EXPECTS_MSG(log_.good(), "cannot reopen artifact store log '" +
-                                   log_path_.string() + "'");
-  return written;
+    tables_->each([&](const auto& table) { written += table.write(out); });
+    return written;
+  });
 }
 
 void ArtifactStore::sync() {
   const std::scoped_lock lock(mutex_);
-  if (!durable()) return;
-  log_.flush();
-  if (!log_.good()) {
-    demote_locked("flush failed on '" + log_path_.string() + "'");
-    return;
-  }
-  fsync_path(log_path_.string());
+  log_.sync();
 }
 
 ArtifactStore::Stats ArtifactStore::stats() const {
   const std::scoped_lock lock(mutex_);
   Stats out = stats_;
+  out.topo = tables_->topo.stats();
+  out.mincut = tables_->mincut.stats();
+  out.memsim = tables_->memsim.stats();
+  out.partition = tables_->partition.stats();
+  const AppendLog::Stats& disk = log_.stats();
+  out.loaded = disk.loaded;
+  out.corrupt = disk.corrupt;
+  out.appended = disk.appended;
+  out.demoted = disk.demoted;
   out.eigenbasis_bytes = basis_bytes_;
   return out;
 }

@@ -13,13 +13,21 @@
 //
 //   memory tier   mutex-guarded maps, refcount-evicted by the stream
 //                 session via erase(fingerprint) — subsumes the former
-//                 ComponentSpectrumCache with identical hit semantics;
-//   disk tier     append-only JSONL (`<dir>/artifacts.jsonl`), mirroring
-//                 serve/ResultStore: replayed on startup, torn/garbage
-//                 lines counted and skipped, inserts appended and
+//                 ComponentSpectrumCache with identical hit semantics.
+//                 The four plain kinds (topo, mincut, memsim, partition)
+//                 are one keyed-table template plus a per-kind line
+//                 codec; spectra (options groups) and eigenbases
+//                 (bytes-bounded LRU, memory-only) are special;
+//   disk tier     `<dir>/artifacts.jsonl`, the shared store::AppendLog
+//                 (store/append_log.hpp): replayed on startup, torn/
+//                 garbage lines counted and skipped, inserts appended and
 //                 flushed. erase() never touches disk — a cold restart
 //                 against a warm directory answers every method with
 //                 zero eigensolves and zero topo recomputes.
+//
+// Per-kind hits/misses/evictions total into the registry counters
+// `store.<kind>.*`, the log's into `store.disk.*` (telemetry/
+// stat_counters.hpp: one declaration per counter).
 //
 // One instance is shared by every ArtifactCache of an Engine, every
 // worker Engine of a serve Scheduler, and every stream session of a
@@ -28,8 +36,8 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -40,18 +48,9 @@
 #include "graphio/core/spectral_pipeline.hpp"
 #include "graphio/flow/convex_mincut.hpp"
 #include "graphio/graph/laplacian.hpp"
+#include "graphio/store/append_log.hpp"
 
 namespace graphio::store {
-
-/// The artifact families the store types its entries by.
-enum class ArtifactKind {
-  kSpectrum,
-  kTopoOrder,
-  kMincutSweep,
-  kMemsimRow,
-  kPartitionRow,
-  kEigenbasis
-};
 
 /// Kahn topological order of one component, in the component's local
 /// vertex ids (ascending-extraction numbering, so the order is meaningful
@@ -91,7 +90,8 @@ struct PartitionRowArtifact {
 class ArtifactStore {
  public:
   /// Memory-only store (no durable tier).
-  ArtifactStore() = default;
+  ArtifactStore();
+  ~ArtifactStore();
 
   /// Memory store backed by `dir/artifacts.jsonl`: the log is replayed on
   /// construction (unparseable lines counted and skipped) and every new
@@ -205,6 +205,14 @@ class ArtifactStore {
     std::int64_t misses = 0;
     std::int64_t entries = 0;
     std::int64_t evicted = 0;
+    /// Registry names under `store.<kind>`; entries is per-instance only.
+    static constexpr auto fields() {
+      return std::tuple{telemetry::StatField{&KindStats::hits, "hits"},
+                        telemetry::StatField{&KindStats::misses, "misses"},
+                        telemetry::StatField{&KindStats::entries, "entries",
+                                             false},
+                        telemetry::StatField{&KindStats::evicted, "evicted"}};
+    }
   };
   struct Stats {
     KindStats spectrum;
@@ -242,11 +250,9 @@ class ArtifactStore {
   /// memory-only — the log stops growing but is never corrupted, lookups
   /// and inserts keep working, and the incident is surfaced once on
   /// stderr plus the `store.disk.demoted` counter.
-  [[nodiscard]] bool durable() const noexcept {
-    return !log_path_.empty() && !demoted_;
-  }
+  [[nodiscard]] bool durable() const noexcept { return log_.durable(); }
   [[nodiscard]] const std::filesystem::path& path() const noexcept {
-    return log_path_;
+    return log_.path();
   }
 
   /// Canonical encoding of exactly the solver-relevant option fields
@@ -269,18 +275,7 @@ class ArtifactStore {
   bool put_spectrum_locked(std::uint64_t fingerprint, LaplacianKind kind,
                            int requested, const std::string& options_key,
                            const ComponentSolve& solve);
-  bool put_topo_locked(std::uint64_t fingerprint,
-                       const TopoOrderArtifact& topo);
-  bool put_mincut_locked(std::uint64_t fingerprint, flow::FlowEngine engine,
-                         const MincutSweepArtifact& sweep);
-  bool put_memsim_locked(std::uint64_t fingerprint, std::int64_t memory,
-                         int random_orders, const MemsimRowArtifact& row);
-  bool put_partition_locked(std::uint64_t fingerprint, double memory,
-                            const PartitionRowArtifact& row);
   void replay_line_locked(const std::string& line);
-  void append_locked(const std::string& line);
-  /// Disables the disk tier after a write failure. Caller holds the mutex.
-  void demote_locked(const std::string& why);
 
   struct BasisEntry {
     Eigenbasis basis;
@@ -291,24 +286,21 @@ class ArtifactStore {
   /// budget; updates stats. Caller holds the mutex.
   void evict_eigenbases_locked();
 
+  /// The keyed tables of the plain kinds (defined with their codecs in
+  /// the .cpp).
+  struct Tables;
+
   mutable std::mutex mutex_;
   std::map<std::pair<std::uint64_t, LaplacianKind>,
            std::vector<SpectrumEntry>>
       spectra_;
-  std::map<std::uint64_t, TopoOrderArtifact> topo_;
-  std::map<std::pair<std::uint64_t, flow::FlowEngine>, MincutSweepArtifact>
-      mincut_;
-  std::map<std::tuple<std::uint64_t, std::int64_t, int>, MemsimRowArtifact>
-      memsim_;
-  std::map<std::pair<std::uint64_t, double>, PartitionRowArtifact> partition_;
+  std::unique_ptr<Tables> tables_;
   std::map<std::pair<std::uint64_t, LaplacianKind>, BasisEntry> bases_;
   std::int64_t basis_budget_ = 0;
   std::int64_t basis_bytes_ = 0;
   std::uint64_t basis_tick_ = 0;
-  Stats stats_;
-  std::filesystem::path log_path_;
-  std::ofstream log_;
-  bool demoted_ = false;
+  Stats stats_;  ///< spectrum and eigenbasis kinds
+  AppendLog log_;
 };
 
 }  // namespace graphio::store

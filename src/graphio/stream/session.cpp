@@ -15,29 +15,19 @@ namespace graphio::stream {
 
 namespace {
 
-// Registry mirrors of Stats — process-wide lifetime totals across every
-// StreamSession instance.
-struct StreamMetrics {
-  telemetry::Counter& patches;
-  telemetry::Counter& mutations;
-  telemetry::Counter& dirty_components;
-  telemetry::Counter& clean_components;
-  telemetry::Counter& evicted;
-  telemetry::Counter& queries;
-};
-
-StreamMetrics& stream_metrics() {
-  auto& reg = telemetry::MetricsRegistry::global();
-  static StreamMetrics metrics{reg.counter("stream.patches"),
-                               reg.counter("stream.mutations"),
-                               reg.counter("stream.dirty_components"),
-                               reg.counter("stream.clean_components"),
-                               reg.counter("stream.evicted"),
-                               reg.counter("stream.queries")};
-  return metrics;
+// Registry totals of every StreamSession's Stats.
+const telemetry::StatCounters<StreamSession::Stats>& stream_counters() {
+  static const telemetry::StatCounters<StreamSession::Stats> counters(
+      "stream");
+  return counters;
 }
 
 }  // namespace
+
+template <auto Member>
+void StreamSession::bump(std::int64_t n) {
+  stream_counters().bump<Member>(stats_, n);
+}
 
 StreamSession::StreamSession(std::string name,
                              std::shared_ptr<store::ArtifactStore> store)
@@ -73,7 +63,7 @@ PatchReport StreamSession::load_locked(const Digraph& graph) {
   // entries this session refcounts (a shared store's disk tier, being
   // append-only, is untouched) and re-fingerprint from scratch.
   for (const auto& [fp, count] : fingerprint_refcount_) {
-    stats_.evicted += engine_->artifact_store()->erase(fp);
+    bump<&Stats::evicted>(engine_->artifact_store()->erase(fp));
     (void)count;
   }
   component_fingerprint_.clear();
@@ -159,7 +149,7 @@ void StreamSession::refingerprint_locked(const std::vector<int>& dirty) {
   auto release = [this](std::uint64_t fp) {
     if (--fingerprint_refcount_.at(fp) == 0) {
       fingerprint_refcount_.erase(fp);
-      stats_.evicted += engine_->artifact_store()->erase(fp);
+      bump<&Stats::evicted>(engine_->artifact_store()->erase(fp));
     }
   };
   // Dirty components: compute the successor fingerprint FIRST, adopt any
@@ -300,21 +290,15 @@ PatchReport StreamSession::finish_patch_locked(const Patch& patch,
   report.fingerprint = engine::fingerprint_hex(combined_fingerprint_locked());
   report.seconds = seconds;
 
-  ++stats_.patches;
-  stats_.mutations += report.mutations;
-  stats_.dirty_components += report.dirty_components;
-  stats_.clean_components += report.clean_components;
+  bump<&Stats::patches>();
+  bump<&Stats::mutations>(report.mutations);
+  bump<&Stats::dirty_components>(report.dirty_components);
+  bump<&Stats::clean_components>(report.clean_components);
   // refingerprint_locked (and, for loads, the pre-reset sweep) advanced
   // stats_.evicted; the report carries this patch's share.
   report.evicted = stats_.evicted - evicted_before;
   last_dirty_ = report.dirty_components;
   last_clean_ = report.clean_components;
-  StreamMetrics& metrics = stream_metrics();
-  metrics.patches.increment();
-  metrics.mutations.add(report.mutations);
-  metrics.dirty_components.add(report.dirty_components);
-  metrics.clean_components.add(report.clean_components);
-  metrics.evicted.add(report.evicted);
   return report;
 }
 
@@ -331,8 +315,7 @@ engine::BoundReport StreamSession::evaluate(engine::BoundRequest request) {
   // to the cold one (retention is excluded from the options key).
   request.spectral.retain_basis =
       engine_->artifact_store()->eigenbasis_budget() > 0;
-  ++stats_.queries;
-  stream_metrics().queries.increment();
+  bump<&Stats::queries>();
   telemetry::Span span("stream.query");
   span.attr("graph", name_)
       .attr("dirty", last_dirty_)

@@ -43,12 +43,14 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "graphio/engine/engine.hpp"
 #include "graphio/stream/dynamic_components.hpp"
 #include "graphio/stream/dynamic_graph.hpp"
 #include "graphio/stream/mutation.hpp"
+#include "graphio/telemetry/stat_counters.hpp"
 
 namespace graphio::stream {
 
@@ -122,6 +124,17 @@ class StreamSession {
     std::int64_t clean_components = 0;
     std::int64_t evicted = 0;           ///< artifact-store evictions
     std::int64_t queries = 0;
+    /// Registry names under `stream` (telemetry/stat_counters.hpp).
+    static constexpr auto fields() {
+      using telemetry::StatField;
+      return std::tuple{
+          StatField{&Stats::patches, "patches"},
+          StatField{&Stats::mutations, "mutations"},
+          StatField{&Stats::dirty_components, "dirty_components"},
+          StatField{&Stats::clean_components, "clean_components"},
+          StatField{&Stats::evicted, "evicted"},
+          StatField{&Stats::queries, "queries"}};
+    }
   };
   [[nodiscard]] Stats stats() const;
 
@@ -136,6 +149,9 @@ class StreamSession {
                                   std::int64_t evicted_before,
                                   double seconds);
   void refingerprint_locked(const std::vector<int>& dirty);
+  /// Adds `n` to one Stats field and to its registry total.
+  template <auto Member>
+  void bump(std::int64_t n = 1);
   std::uint64_t combined_fingerprint_locked() const;
 
   mutable std::mutex mutex_;

@@ -4,11 +4,13 @@
 // histograms, cheap enough to update from hot paths (single atomic op per
 // event) and snapshottable to JSON at any time.
 //
-// The registry is the one source of truth for lifetime totals; the legacy
+// The registry is the one source of truth for lifetime totals. The
 // per-instance Stats structs (ArtifactCache, ArtifactStore, ResultStore,
-// StreamSession) dual-write into it at their increment sites and keep
-// serving per-instance deltas. Registry values are monotone: they survive
-// cache reinstalls and session restarts within the process.
+// StreamSession, and the shared store::AppendLog behind every JSONL log)
+// declare each field once with its registry name, and one bump call
+// advances both (telemetry/stat_counters.hpp); the structs keep serving
+// per-instance deltas. Registry values are monotone: they survive cache
+// reinstalls and session restarts within the process.
 //
 // Telemetry is observe-only: nothing in here may influence results.
 

@@ -291,8 +291,10 @@ TEST(SpectralPipeline, TrivialPlannedComponentsSkipEverything) {
 // extract-then-lookup path to 1e-8 across specs × every solver policy.
 // The reference reproduces the PR 3/4 control flow literally: extract the
 // subgraph first, hash it, then consult the same cache type.
+// std::string parameters print as their text, so the listed parameter (and
+// the ctest name derived from it) does not carry a per-run address.
 class PlanPathParity
-    : public ::testing::TestWithParam<std::tuple<const char*, const char*>> {
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {
 };
 
 TEST_P(PlanPathParity, LookupFirstEqualsExtractFirst) {

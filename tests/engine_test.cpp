@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <ostream>
 
 #include "graphio/core/spectral_bound.hpp"
 #include "graphio/engine/engine.hpp"
@@ -106,6 +107,13 @@ struct ParityCase {
   const char* spec;
   double memory;
 };
+
+// Prints the spec and memory so the test's listed parameter (and the ctest
+// name derived from it) is the same in every run; gtest's default dumps the
+// raw bytes, including the address of `spec`.
+void PrintTo(const ParityCase& c, std::ostream* os) {
+  *os << "{\"" << c.spec << "\", " << c.memory << "}";
+}
 
 class EngineParity : public ::testing::TestWithParam<ParityCase> {};
 

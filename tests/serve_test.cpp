@@ -526,11 +526,22 @@ TEST(BatchSession, ServeLoopAnswersLineByLine) {
       "\n");
   std::ostringstream out;
   const BatchSummary summary = session.serve(in, out);
+  EXPECT_EQ(summary.jobs, 2);
   EXPECT_EQ(summary.ok, 2);
   EXPECT_EQ(summary.rejected_lines, 1);
+  EXPECT_EQ(summary.threads, 1);
   const std::vector<std::string> lines = sorted_lines(out.str());
   ASSERT_EQ(lines.size(), 3u);
   for (const std::string& line : lines) EXPECT_TRUE(io::json_valid(line));
+  // One response per request line, in input order.
+  const std::string text = out.str();
+  const std::size_t first = text.find(R"({"job":1,)");
+  const std::size_t reject = text.find(R"({"job":2,"error")");
+  const std::size_t last = text.find(R"({"job":3,)");
+  EXPECT_EQ(first, 0u);
+  EXPECT_LT(first, reject);
+  EXPECT_LT(reject, last);
+  EXPECT_NE(last, std::string::npos);
   // The second request reuses the first's spectrum (same worker Engine).
   EXPECT_GT(summary.cache.hits, 0);
 }
